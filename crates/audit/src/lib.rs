@@ -1063,7 +1063,16 @@ fn string_literals(stripped_text: &str, original: &str, start: usize, end: usize
 // R2: metric inventory
 // ---------------------------------------------------------------------------
 
-const EMIT_METHODS: [&str; 4] = ["inc", "add", "observe", "set_gauge"];
+const EMIT_METHODS: [&str; 8] = [
+    "inc",
+    "add",
+    "observe",
+    "set_gauge",
+    "inc_fmt",
+    "add_fmt",
+    "observe_fmt",
+    "set_gauge_fmt",
+];
 
 /// One declared metric name pattern from `metrics/INVENTORY`.
 #[derive(Debug, Clone)]
@@ -1103,8 +1112,9 @@ pub fn parse_inventory(src: &str) -> Vec<InventoryEntry> {
 }
 
 /// Collects every metric name pattern emitted through the registry in
-/// `src` (literal first arguments of `.inc/.add/.observe/.set_gauge`,
-/// including `&format!("...")` patterns, verbatim), skipping
+/// `src` (literal first arguments of `.inc/.add/.observe/.set_gauge`
+/// and their `_fmt` variants, including `&format!("...")` and
+/// `format_args!("...")` patterns, verbatim), skipping
 /// `#[cfg(test)] mod` blocks. Returns (pattern, line).
 pub fn emitted_metrics(src: &str) -> Vec<(String, usize)> {
     let stripped = strip_source(src);
@@ -1139,8 +1149,9 @@ pub fn emitted_metrics(src: &str) -> Vec<(String, usize)> {
                     .into_iter()
                     .next()
             }
-            TokKind::Word if word(&stripped.text, arg) == "format" => {
-                // format!("..."): find the macro's literal.
+            TokKind::Word if matches!(word(&stripped.text, arg), "format" | "format_args") => {
+                // format!("...") / format_args!("..."): find the macro's
+                // literal.
                 let mut q = k + 1;
                 while q < toks.len() {
                     match toks[q].kind {
@@ -1632,6 +1643,43 @@ mod tests {
             &[(PathBuf::from("x.rs"), src.to_string())],
         );
         assert!(d.is_empty(), "{d:?}");
+    }
+
+    #[test]
+    fn r2_reads_format_args_like_format() {
+        let inv = "invocations.{k}\n{}.utilization\nbytes.{k}\n{name}.{k}\n";
+        let src = "fn f(m: &M, d: D) {\n\
+                   m.inc_fmt(format_args!(\"invocations.{k}\"));\n\
+                   m.set_gauge_fmt(\n    format_args!(\"{}.utilization\", d.id()),\n    0.5,\n);\n\
+                   m.add_fmt(format_args!(\"bytes.{k}\"), 2);\n\
+                   m.observe_fmt(format_args!(\"{name}.{k}\"), 1.0);\n}";
+        let emitted = emitted_metrics(src);
+        let patterns: Vec<&str> = emitted.iter().map(|(p, _)| p.as_str()).collect();
+        assert_eq!(
+            patterns,
+            [
+                "invocations.{k}",
+                "{}.utilization",
+                "bytes.{k}",
+                "{name}.{k}"
+            ]
+        );
+        assert_eq!(emitted[1].1, 3, "reported on the call's line");
+        let d = check_metric_inventory(
+            Path::new("INVENTORY"),
+            inv,
+            &[(PathBuf::from("x.rs"), src.to_string())],
+        );
+        assert!(d.is_empty(), "{d:?}");
+        let d = check_metric_inventory(
+            Path::new("INVENTORY"),
+            "invocations.{k}\n",
+            &[(
+                PathBuf::from("x.rs"),
+                "fn f(m: &M) { m.inc_fmt(format_args!(\"typo.{k}\")); }".into(),
+            )],
+        );
+        assert_eq!(d.len(), 2, "undeclared and stale: {d:?}");
     }
 
     #[test]

@@ -292,10 +292,10 @@ async fn shard_worker(
         // `sum(depths) == queued` at every executor step boundary.
         depth.set(depth.get() - 1);
         queued.set(queued.get() - 1);
-        server
-            .inner()
-            .metrics_registry
-            .set_gauge(&format!("dispatch.shard.{shard}.depth"), depth.get() as f64);
+        server.inner().metrics_registry.set_gauge_fmt(
+            format_args!("dispatch.shard.{shard}.depth"),
+            depth.get() as f64,
+        );
         {
             let inner = server.inner();
             let m = &inner.metrics_registry;
@@ -310,7 +310,7 @@ async fn shard_worker(
                 ejected.set(ejected.get() + 1);
                 ejected_total.set(ejected_total.get() + 1);
                 m.inc("dispatch.ejected");
-                m.inc(&format!("dispatch.shard.{shard}.ejected"));
+                m.inc_fmt(format_args!("dispatch.shard.{shard}.ejected"));
                 let _ = reply.send(Err(InvokeError::DeadlineExceeded));
                 continue;
             }
@@ -370,7 +370,7 @@ impl KaasServer {
                 if kernel != DISCOVERY_KERNEL {
                     let m = &self.inner().metrics_registry;
                     m.inc("errors");
-                    m.inc(&format!("errors.{}", e.kind()));
+                    m.inc_fmt(format_args!("errors.{}", e.kind()));
                 }
                 Response {
                     id,
@@ -505,7 +505,7 @@ impl KaasServer {
                     q.ejected.set(q.ejected.get() + 1);
                     ejected_total.set(ejected_total.get() + 1);
                     m.inc("dispatch.ejected");
-                    m.inc(&format!("dispatch.shard.{shard}.ejected"));
+                    m.inc_fmt(format_args!("dispatch.shard.{shard}.ejected"));
                     err
                 };
                 if job.req.deadline.is_some_and(|d| now() > d) {
@@ -522,8 +522,8 @@ impl KaasServer {
                 // executor step.
                 q.depth.set(q.depth.get() + 1);
                 queued.set(queued.get() + 1);
-                m.set_gauge(
-                    &format!("dispatch.shard.{shard}.depth"),
+                m.set_gauge_fmt(
+                    format_args!("dispatch.shard.{shard}.depth"),
                     q.depth.get() as f64,
                 );
                 let (reply_tx, reply_rx) = channel::oneshot();
@@ -840,7 +840,7 @@ impl KaasServer {
                 inner.dataplane.bytes_resident() as f64,
             );
             for (dev, bytes) in inner.dataplane.residency() {
-                m.set_gauge(&format!("dataplane.{dev}.bytes_resident"), bytes as f64);
+                m.set_gauge_fmt(format_args!("dataplane.{dev}.bytes_resident"), bytes as f64);
             }
         }
 
@@ -883,7 +883,7 @@ impl KaasServer {
         let m = &inner.metrics_registry;
         let k = &report.kernel;
         m.inc("invocations");
-        m.inc(&format!("invocations.{k}"));
+        m.inc_fmt(format_args!("invocations.{k}"));
         if report.cold_start {
             m.inc("cold_starts");
         }
@@ -898,15 +898,15 @@ impl KaasServer {
             ("copy_out", report.copy_out),
         ] {
             m.observe(name, v.as_secs_f64());
-            m.observe(&format!("{name}.{k}"), v.as_secs_f64());
+            m.observe_fmt(format_args!("{name}.{k}"), v.as_secs_f64());
         }
         m.set_gauge("in_flight", inner.pool.total_in_flight() as f64);
         m.set_gauge("runners", inner.pool.total_runners() as f64);
         let elapsed = now().as_secs_f64();
         if elapsed > 0.0 {
             for d in inner.pool.devices() {
-                m.set_gauge(
-                    &format!("{}.utilization", d.id()),
+                m.set_gauge_fmt(
+                    format_args!("{}.utilization", d.id()),
                     (d.busy_seconds() / elapsed).min(1.0),
                 );
             }
@@ -932,7 +932,7 @@ impl KaasServer {
             };
             inner
                 .metrics_registry
-                .set_gauge(&format!("breaker.{device}.state"), level);
+                .set_gauge_fmt(format_args!("breaker.{device}.state"), level);
         }
     }
 

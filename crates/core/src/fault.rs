@@ -398,7 +398,7 @@ fn apply(
     let kind = fault.kind();
     let m = &inner.metrics_registry;
     m.inc("faults.injected");
-    m.inc(&format!("faults.{kind}"));
+    m.inc_fmt(format_args!("faults.{kind}"));
     if let Some(tracer) = &inner.config.tracer {
         tracer.record(
             "fault",

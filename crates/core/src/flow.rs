@@ -165,7 +165,7 @@ impl KaasServer {
             Err((e, flow)) => {
                 let m = &self.inner().metrics_registry;
                 m.inc("errors");
-                m.inc(&format!("errors.{}", e.kind()));
+                m.inc_fmt(format_args!("errors.{}", e.kind()));
                 Response {
                     id,
                     result: Err(e),

@@ -238,7 +238,10 @@ impl GuestState {
         m.add("guest.fuel_used", cur.fuel - prev.fuel);
         m.add("guest.bytes", cur.bytes - prev.bytes);
         let tenant = base.split('/').next().unwrap_or(base);
-        m.add(&format!("guest.tenant.{tenant}.fuel"), cur.fuel - prev.fuel);
+        m.add_fmt(
+            format_args!("guest.tenant.{tenant}.fuel"),
+            cur.fuel - prev.fuel,
+        );
     }
 }
 

@@ -13,10 +13,16 @@
 //! All maps are ordered (`BTreeMap`) and all state is deterministic, so
 //! [`MetricsRegistry::render`] output is byte-identical across
 //! identical runs.
+//!
+//! Updates to an existing series are in place and allocate nothing: a
+//! series' key is allocated once, when it is created. Names built from
+//! parts go through the `*_fmt` methods, which render a
+//! `format_args!` name into a registry-owned scratch buffer instead of
+//! a fresh `String` per update.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 use std::rc::Rc;
 
 use super::histogram::{Histogram, HistogramSummary};
@@ -26,6 +32,31 @@ struct RegistryInner {
     counters: BTreeMap<String, u64>,
     gauges: BTreeMap<String, f64>,
     histograms: BTreeMap<String, Histogram>,
+    /// Where the `*_fmt` methods render names; reused across updates.
+    scratch: String,
+}
+
+impl RegistryInner {
+    fn add(&mut self, name: &str, delta: u64) {
+        update(&mut self.counters, name, |v| *v += delta);
+    }
+
+    fn set_gauge(&mut self, name: &str, value: f64) {
+        update(&mut self.gauges, name, |v| *v = value);
+    }
+
+    fn observe(&mut self, name: &str, value: f64) {
+        update(&mut self.histograms, name, |h| h.observe(value));
+    }
+}
+
+/// Applies `f` to series `name` in place, creating it at its default
+/// first: the key is allocated only when the series is new.
+fn update<V: Default>(map: &mut BTreeMap<String, V>, name: &str, f: impl FnOnce(&mut V)) {
+    match map.get_mut(name) {
+        Some(v) => f(v),
+        None => f(map.entry(name.to_owned()).or_default()),
+    }
 }
 
 /// A shared, clonable registry of counters, gauges, and histograms.
@@ -73,8 +104,42 @@ impl MetricsRegistry {
 
     /// Increments counter `name` by `delta`.
     pub fn add(&self, name: &str, delta: u64) {
+        self.inner.borrow_mut().add(name, delta);
+    }
+
+    /// [`inc`](Self::inc) with a formatted name, e.g.
+    /// `reg.inc_fmt(format_args!("invocations.{k}"))`.
+    pub fn inc_fmt(&self, name: fmt::Arguments<'_>) {
+        self.add_fmt(name, 1);
+    }
+
+    /// [`add`](Self::add) with a formatted name.
+    pub fn add_fmt(&self, name: fmt::Arguments<'_>, delta: u64) {
+        self.with_name(name, |inner, name| inner.add(name, delta));
+    }
+
+    /// [`set_gauge`](Self::set_gauge) with a formatted name.
+    pub fn set_gauge_fmt(&self, name: fmt::Arguments<'_>, value: f64) {
+        self.with_name(name, |inner, name| inner.set_gauge(name, value));
+    }
+
+    /// [`observe`](Self::observe) with a formatted name.
+    pub fn observe_fmt(&self, name: fmt::Arguments<'_>, value: f64) {
+        self.with_name(name, |inner, name| inner.observe(name, value));
+    }
+
+    /// Renders `name` into the scratch buffer and runs `f` on it. The
+    /// name's arguments are formatted while the registry is borrowed,
+    /// so they must not read this registry.
+    fn with_name(&self, name: fmt::Arguments<'_>, f: impl FnOnce(&mut RegistryInner, &str)) {
         let mut inner = self.inner.borrow_mut();
-        *inner.counters.entry(name.to_owned()).or_insert(0) += delta;
+        let mut scratch = std::mem::take(&mut inner.scratch);
+        scratch.clear();
+        scratch
+            .write_fmt(name)
+            .expect("formatting a metric name into a String cannot fail");
+        f(&mut inner, &scratch);
+        inner.scratch = scratch;
     }
 
     /// Current value of counter `name` (zero if never incremented).
@@ -84,10 +149,7 @@ impl MetricsRegistry {
 
     /// Sets gauge `name` to `value`.
     pub fn set_gauge(&self, name: &str, value: f64) {
-        self.inner
-            .borrow_mut()
-            .gauges
-            .insert(name.to_owned(), value);
+        self.inner.borrow_mut().set_gauge(name, value);
     }
 
     /// Current value of gauge `name`, if ever set.
@@ -97,12 +159,7 @@ impl MetricsRegistry {
 
     /// Records `value` (seconds, for latencies) into histogram `name`.
     pub fn observe(&self, name: &str, value: f64) {
-        self.inner
-            .borrow_mut()
-            .histograms
-            .entry(name.to_owned())
-            .or_default()
-            .observe(value);
+        self.inner.borrow_mut().observe(name, value);
     }
 
     /// A snapshot of histogram `name`, if it exists.
@@ -220,6 +277,27 @@ mod tests {
         assert!(a < b, "metrics must render in sorted order:\n{text}");
         assert!(text.contains("lat{stat=\"count\"} 10"));
         assert!(text.contains("lat{stat=\"p95\"}"));
+    }
+
+    #[test]
+    fn formatted_names_update_the_same_series() {
+        let reg = MetricsRegistry::new();
+        for k in ["a", "b", "a"] {
+            reg.inc_fmt(format_args!("invocations.{k}"));
+            reg.add_fmt(format_args!("bytes.{k}"), 2);
+            reg.set_gauge_fmt(format_args!("{k}.utilization"), 0.5);
+            reg.observe_fmt(format_args!("latency.{k}"), 1.0);
+        }
+        reg.inc("invocations.a");
+        assert_eq!(reg.counter("invocations.a"), 3);
+        assert_eq!(reg.counter("invocations.b"), 1);
+        assert_eq!(reg.counter("bytes.a"), 4);
+        assert_eq!(reg.gauge("b.utilization"), Some(0.5));
+        assert_eq!(reg.summary("latency.a").unwrap().count, 2);
+        let (counters, gauges, histograms) = reg.names();
+        assert_eq!(counters.len(), 4);
+        assert_eq!(gauges.len(), 2);
+        assert_eq!(histograms.len(), 2);
     }
 
     #[test]

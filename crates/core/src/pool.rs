@@ -530,7 +530,7 @@ impl RunnerPool {
             // interval is exactly the trailing `cost` of the whole span.
             if let Some((path, cost)) = warmup {
                 if let Some(m) = &metrics {
-                    m.observe(&format!("guest.cold_start.{path}"), cost.as_secs_f64());
+                    m.observe_fmt(format_args!("guest.cold_start.{path}"), cost.as_secs_f64());
                 }
                 if let Some(tracer) = &tracer {
                     let end = now();

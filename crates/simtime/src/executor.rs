@@ -7,12 +7,12 @@
 //! deterministic discrete-event simulation that is written like ordinary
 //! async Rust.
 
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 use std::future::Future;
 use std::pin::Pin;
-use std::rc::Rc;
+use std::rc::{Rc, Weak};
 use std::sync::{Arc, Mutex};
 use std::task::{Context, Poll, Wake, Waker};
 use std::time::Duration;
@@ -60,39 +60,47 @@ impl Wake for TaskWaker {
     }
 }
 
-/// A timer registered with the executor: wake `waker` once the clock
-/// reaches `at`. Ties are broken by registration order (`seq`) so the
-/// simulation stays deterministic. A cancelled timer (its future was
-/// dropped) is discarded without advancing the clock.
-struct TimerEntry {
-    at: SimTime,
+/// Identifies one timer registration: its sequence number (unique, in
+/// registration order) and the timer slab slot holding its waker.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct TimerKey {
     seq: u64,
-    waker: Waker,
-    cancelled: Rc<Cell<bool>>,
+    slot: usize,
 }
 
-impl PartialEq for TimerEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
+/// A timer in the executor's heap: wake registration `key` once the
+/// clock reaches `at`, provided its slot still holds that registration.
+/// Ties on `at` are broken by registration order (`key.seq`, unique, so
+/// the slot never decides) to keep the simulation deterministic.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct TimerEntry {
+    at: SimTime,
+    key: TimerKey,
 }
-impl Eq for TimerEntry {}
-impl PartialOrd for TimerEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
+
+/// One slot of the timer slab: the waker of the registration `seq`
+/// currently parked here, or `None` once it fired or was cancelled.
+struct TimerSlot {
+    seq: u64,
+    waker: Option<Waker>,
 }
-impl Ord for TimerEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
-    }
+
+/// One task slot: the future of the task occupying it (absent while the
+/// task is being polled or once it finished) and the waker every task
+/// placed in this slot is polled with. The waker is built once, when the
+/// slot is created, and only ever names this slot's id.
+struct TaskSlot {
+    future: Option<LocalFuture>,
+    waker: Waker,
 }
 
 pub(crate) struct Core {
     now: SimTime,
     timer_seq: u64,
     timers: BinaryHeap<Reverse<TimerEntry>>,
-    tasks: Vec<Option<LocalFuture>>,
+    timer_slots: Vec<TimerSlot>,
+    free_timers: Vec<usize>,
+    tasks: Vec<TaskSlot>,
     free: Vec<usize>,
     live: usize,
     /// Sanitizer hooks run after every task poll (an "executor step").
@@ -108,6 +116,8 @@ impl Core {
             now: SimTime::ZERO,
             timer_seq: 0,
             timers: BinaryHeap::new(),
+            timer_slots: Vec::new(),
+            free_timers: Vec::new(),
             tasks: Vec::new(),
             free: Vec::new(),
             live: 0,
@@ -116,40 +126,89 @@ impl Core {
         }
     }
 
-    fn insert_task(&mut self, fut: LocalFuture) -> usize {
+    fn insert_task(&mut self, fut: LocalFuture, queue: &Arc<WakeQueue>) -> usize {
         self.live += 1;
         if let Some(id) = self.free.pop() {
-            debug_assert!(self.tasks[id].is_none());
-            self.tasks[id] = Some(fut);
+            debug_assert!(self.tasks[id].future.is_none());
+            self.tasks[id].future = Some(fut);
             id
         } else {
-            self.tasks.push(Some(fut));
-            self.tasks.len() - 1
+            let id = self.tasks.len();
+            let waker = Waker::from(Arc::new(TaskWaker {
+                id,
+                queue: Arc::clone(queue),
+            }));
+            self.tasks.push(TaskSlot {
+                future: Some(fut),
+                waker,
+            });
+            id
         }
     }
 
-    fn register_timer(&mut self, at: SimTime, waker: Waker) -> Rc<Cell<bool>> {
+    fn register_timer(&mut self, at: SimTime, waker: Waker) -> TimerKey {
         let seq = self.timer_seq;
         self.timer_seq += 1;
-        let cancelled = Rc::new(Cell::new(false));
-        self.timers.push(Reverse(TimerEntry {
-            at,
+        let slot = self.free_timers.pop().unwrap_or_else(|| {
+            self.timer_slots.push(TimerSlot { seq, waker: None });
+            self.timer_slots.len() - 1
+        });
+        self.timer_slots[slot] = TimerSlot {
             seq,
-            waker,
-            cancelled: Rc::clone(&cancelled),
-        }));
-        cancelled
+            waker: Some(waker),
+        };
+        let key = TimerKey { seq, slot };
+        self.timers.push(Reverse(TimerEntry { at, key }));
+        key
+    }
+
+    /// Takes the waker of registration `key` out of its slot and frees
+    /// the slot; `None` if that registration already fired or was
+    /// cancelled (the slot may since hold a newer registration).
+    fn take_timer(&mut self, key: TimerKey) -> Option<Waker> {
+        let slot = &mut self.timer_slots[key.slot];
+        if slot.seq != key.seq {
+            return None;
+        }
+        let waker = slot.waker.take()?;
+        self.free_timers.push(key.slot);
+        Some(waker)
+    }
+
+    fn is_live(&self, key: TimerKey) -> bool {
+        let slot = &self.timer_slots[key.slot];
+        slot.seq == key.seq && slot.waker.is_some()
     }
 
     /// Discards cancelled timers sitting at the head of the heap so they
     /// never advance the clock.
     fn prune_cancelled_timers(&mut self) {
         while let Some(Reverse(head)) = self.timers.peek() {
-            if head.cancelled.get() {
-                self.timers.pop();
-            } else {
+            if self.is_live(head.key) {
                 break;
             }
+            self.timers.pop();
+        }
+    }
+}
+
+/// A registered timer, held by the [`Sleep`](crate::Sleep) that owns it.
+/// Dropping it does nothing; [`TimerHandle::cancel`] discards the timer
+/// so it neither wakes its task nor advances the clock.
+#[derive(Debug)]
+pub(crate) struct TimerHandle {
+    core: Weak<RefCell<Core>>,
+    key: TimerKey,
+}
+
+impl TimerHandle {
+    /// Cancels the timer if it is still pending. A no-op once it fired,
+    /// and once its simulation is gone.
+    pub(crate) fn cancel(self) {
+        if let Some(core) = self.core.upgrade() {
+            // The waker is dropped after the core is released.
+            let waker = core.borrow_mut().take_timer(self.key);
+            drop(waker);
         }
     }
 }
@@ -207,7 +266,28 @@ impl Handle {
 
     /// Like [`Handle::current`] but returns `None` instead of panicking.
     pub fn try_current() -> Option<Handle> {
-        CONTEXT.with(|c| c.borrow().clone())
+        Handle::try_with_current(Handle::clone)
+    }
+
+    /// Runs `f` on the handle of the simulation currently running on
+    /// this thread, borrowed in place: unlike [`Handle::current`] it
+    /// clones no reference count. `f` must not run a simulation itself.
+    ///
+    /// # Panics
+    ///
+    /// Panics when there is no ambient simulation; see
+    /// [`Handle::current`].
+    pub fn with_current<R>(f: impl FnOnce(&Handle) -> R) -> R {
+        Handle::try_with_current(f).expect(
+            "no simulation context: kaas_simtime free functions may only be \
+             used inside tasks driven by Simulation::run",
+        )
+    }
+
+    /// Like [`Handle::with_current`] but returns `None` (without calling
+    /// `f`) instead of panicking.
+    pub fn try_with_current<R>(f: impl FnOnce(&Handle) -> R) -> Option<R> {
+        CONTEXT.with(|c| c.borrow().as_ref().map(f))
     }
 
     /// Current virtual time.
@@ -231,15 +311,19 @@ impl Handle {
             let out = fut.await;
             JoinState::complete(&state2, out);
         });
-        let id = self.core.borrow_mut().insert_task(wrapped);
+        let id = self.core.borrow_mut().insert_task(wrapped, &self.wake);
         self.wake.push(id);
         JoinHandle::new(state)
     }
 
-    /// Registers `waker` to be woken once the clock reaches `at`; returns
-    /// a cancellation flag (set it to discard the timer).
-    pub(crate) fn register_timer(&self, at: SimTime, waker: Waker) -> Rc<Cell<bool>> {
-        self.core.borrow_mut().register_timer(at, waker)
+    /// Registers `waker` to be woken once the clock reaches `at`; the
+    /// returned handle cancels the timer.
+    pub(crate) fn register_timer(&self, at: SimTime, waker: Waker) -> TimerHandle {
+        let key = self.core.borrow_mut().register_timer(at, waker);
+        TimerHandle {
+            core: Rc::downgrade(&self.core),
+            key,
+        }
     }
 
     /// Number of tasks that have been spawned and not yet completed.
@@ -359,13 +443,13 @@ impl Simulation {
             let mut core = self.handle.core.borrow_mut();
             debug_assert!(next >= core.now, "timer in the past");
             core.now = next;
-            while let Some(Reverse(head)) = core.timers.peek() {
+            while let Some(&Reverse(head)) = core.timers.peek() {
                 if head.at > next {
                     break;
                 }
-                let Reverse(entry) = core.timers.pop().expect("peeked");
-                if !entry.cancelled.get() {
-                    entry.waker.wake();
+                core.timers.pop();
+                if let Some(waker) = core.take_timer(head.key) {
+                    waker.wake();
                 }
             }
         }
@@ -407,21 +491,17 @@ impl Simulation {
     fn poll_task(&mut self, id: usize) {
         // Take the future out of its slot so the core is not borrowed while
         // the task runs (tasks may spawn, register timers, wake others...).
-        let Some(mut fut) = self
-            .handle
-            .core
-            .borrow_mut()
-            .tasks
-            .get_mut(id)
-            .and_then(Option::take)
-        else {
-            // Stale wake for a completed task.
-            return;
+        // The slot's waker is cloned (a reference-count bump), never
+        // rebuilt.
+        let (mut fut, waker) = {
+            let mut core = self.handle.core.borrow_mut();
+            let slot = &mut core.tasks[id];
+            let Some(fut) = slot.future.take() else {
+                // Stale wake for a completed task.
+                return;
+            };
+            (fut, slot.waker.clone())
         };
-        let waker = Waker::from(Arc::new(TaskWaker {
-            id,
-            queue: Arc::clone(&self.handle.wake),
-        }));
         let mut cx = Context::from_waker(&waker);
         match fut.as_mut().poll(&mut cx) {
             Poll::Ready(()) => {
@@ -430,7 +510,7 @@ impl Simulation {
                 core.live -= 1;
             }
             Poll::Pending => {
-                self.handle.core.borrow_mut().tasks[id] = Some(fut);
+                self.handle.core.borrow_mut().tasks[id].future = Some(fut);
             }
         }
         // Every task poll is an executor step: give the sanitizer a
@@ -452,7 +532,7 @@ impl Simulation {
 ///
 /// Panics outside a running simulation; see [`Handle::current`].
 pub fn now() -> SimTime {
-    Handle::current().now()
+    Handle::with_current(Handle::now)
 }
 
 /// Spawns a task onto the ambient simulation; see [`Handle::spawn`].
@@ -465,7 +545,7 @@ where
     F: Future + 'static,
     F::Output: 'static,
 {
-    Handle::current().spawn(fut)
+    Handle::with_current(|h| h.spawn(fut))
 }
 
 #[cfg(test)]
@@ -606,6 +686,153 @@ mod tests {
     #[test]
     fn handle_try_current_outside_run_is_none() {
         assert!(Handle::try_current().is_none());
+    }
+
+    /// Polls `fut` exactly once from the current task, ignoring the
+    /// result (registers a sleep's timer without awaiting it).
+    async fn poll_once<F: Future + Unpin>(fut: &mut F) {
+        std::future::poll_fn(|cx| {
+            let _ = Pin::new(&mut *fut).poll(cx);
+            Poll::Ready(())
+        })
+        .await;
+    }
+
+    /// Wraps a future, logging the virtual time of each poll.
+    struct Logged<F> {
+        fut: Pin<Box<F>>,
+        polls: Rc<RefCell<Vec<SimTime>>>,
+    }
+
+    impl<F: Future> Future for Logged<F> {
+        type Output = F::Output;
+
+        fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<F::Output> {
+            self.polls.borrow_mut().push(now());
+            self.fut.as_mut().poll(cx)
+        }
+    }
+
+    fn logged<F: Future>(fut: F) -> (Logged<F>, Rc<RefCell<Vec<SimTime>>>) {
+        let polls = Rc::new(RefCell::new(Vec::new()));
+        let fut = Logged {
+            fut: Box::pin(fut),
+            polls: Rc::clone(&polls),
+        };
+        (fut, polls)
+    }
+
+    #[test]
+    fn cancelled_timer_with_reused_slot_neither_wakes_nor_advances() {
+        // A later deadline reuses the cancelled timer's slot: the stale
+        // 10 s heap entry must not fire the 20 s registration early.
+        let mut sim = Simulation::new();
+        let (task, polls) = logged(async {
+            poll_once(&mut sleep(Duration::from_secs(10))).await;
+            sleep(Duration::from_secs(20)).await;
+        });
+        sim.spawn(task);
+        assert_eq!(sim.run(), SimTime::from_secs(20));
+        assert_eq!(*polls.borrow(), [SimTime::ZERO, SimTime::from_secs(20)]);
+
+        // An earlier deadline reuses it: once that fires, the stale entry
+        // is all that is left and must not move the clock.
+        let mut sim = Simulation::new();
+        let (task, polls) = logged(async {
+            poll_once(&mut sleep(Duration::from_secs(10))).await;
+            sleep(Duration::from_secs(5)).await;
+        });
+        sim.spawn(task);
+        assert_eq!(sim.run(), SimTime::from_secs(5));
+        assert_eq!(*polls.borrow(), [SimTime::ZERO, SimTime::from_secs(5)]);
+    }
+
+    #[test]
+    fn dropping_a_fired_sleep_leaves_its_reused_slot_alone() {
+        let mut sim = Simulation::new();
+        let finished = Rc::new(Cell::new(None));
+        let f = Rc::clone(&finished);
+        // Woken first at t=1, this task registers a new timer, which
+        // takes the slot just freed by the timeout's own (fired) timer.
+        sim.spawn(async move {
+            sleep(Duration::from_secs(1)).await;
+            sleep(Duration::from_secs(1)).await;
+            f.set(Some(now()));
+        });
+        // The inner sleep wins, so the timeout drops its fired sleep
+        // without polling it: that must not cancel the new timer.
+        sim.spawn(async {
+            let out = crate::timeout(Duration::from_secs(1), sleep(Duration::from_secs(1))).await;
+            assert_eq!(out, Ok(()));
+        });
+        assert_eq!(sim.run(), SimTime::from_secs(2));
+        assert_eq!(finished.get(), Some(SimTime::from_secs(2)));
+    }
+
+    #[test]
+    fn sleep_dropped_between_run_until_calls_still_cancels() {
+        let mut sim = Simulation::new();
+        let parked: Rc<RefCell<Option<crate::Sleep>>> = Rc::new(RefCell::new(None));
+        let p = Rc::clone(&parked);
+        sim.spawn(async move {
+            let mut s = sleep(Duration::from_secs(10));
+            poll_once(&mut s).await;
+            *p.borrow_mut() = Some(s);
+        });
+        sim.run_until(SimTime::from_secs(1));
+        assert!(parked.borrow().is_some(), "the task parked its sleep");
+        // Dropped outside the run loop, with no ambient simulation.
+        drop(parked.borrow_mut().take());
+        assert_eq!(sim.run(), SimTime::from_secs(1));
+    }
+
+    #[test]
+    fn sleep_outliving_its_simulation_drops_quietly() {
+        let parked: Rc<RefCell<Option<crate::Sleep>>> = Rc::new(RefCell::new(None));
+        let p = Rc::clone(&parked);
+        let mut sim = Simulation::new();
+        sim.spawn(async move {
+            let mut s = sleep(Duration::from_secs(10));
+            poll_once(&mut s).await;
+            *p.borrow_mut() = Some(s);
+        });
+        sim.run_until(SimTime::from_secs(1));
+        drop(sim);
+        assert!(parked.borrow().is_some(), "the task parked its sleep");
+        drop(parked.borrow_mut().take());
+    }
+
+    #[test]
+    fn stale_wake_after_slot_reuse_is_one_spurious_poll() {
+        let mut sim = Simulation::new();
+        let stash: Rc<RefCell<Option<Waker>>> = Rc::new(RefCell::new(None));
+        let st = Rc::clone(&stash);
+        sim.spawn(std::future::poll_fn(move |cx| {
+            *st.borrow_mut() = Some(cx.waker().clone());
+            Poll::Ready(())
+        }));
+        sim.run();
+        assert_eq!(sim.live_tasks(), 0);
+
+        // The next task takes over the finished task's slot.
+        let (tx, rx) = crate::channel::oneshot::<u32>();
+        let (task, polls) = logged(rx);
+        let got = sim.spawn(task);
+        sim.run();
+        assert_eq!(polls.borrow().len(), 1);
+
+        // The old task's waker now names the new task: one spurious poll,
+        // which leaves it pending.
+        stash.borrow_mut().take().expect("stashed").wake();
+        sim.run();
+        assert_eq!(polls.borrow().len(), 2);
+        assert_eq!(sim.live_tasks(), 1);
+
+        tx.send(7).expect("receiver alive");
+        sim.run();
+        assert_eq!(polls.borrow().len(), 3);
+        assert_eq!(got.try_take(), Some(Ok(7)));
+        assert_eq!(sim.live_tasks(), 0);
     }
 
     #[test]

@@ -1,13 +1,11 @@
 //! Timer futures: [`sleep`], [`sleep_until`], [`yield_now`], [`timeout`].
 
-use std::cell::Cell;
 use std::future::Future;
 use std::pin::Pin;
-use std::rc::Rc;
 use std::task::{Context, Poll};
 use std::time::Duration;
 
-use crate::executor::Handle;
+use crate::executor::{Handle, TimerHandle};
 use crate::time::SimTime;
 
 /// Future returned by [`sleep`] and [`sleep_until`].
@@ -16,7 +14,7 @@ use crate::time::SimTime;
 pub struct Sleep {
     deadline: Option<SimTime>,
     delay: Duration,
-    timer: Option<Rc<Cell<bool>>>,
+    timer: Option<TimerHandle>,
 }
 
 impl Sleep {
@@ -40,20 +38,23 @@ impl Sleep {
 impl Future for Sleep {
     type Output = ();
 
-    fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
-        let handle = Handle::current();
-        let now = handle.now();
-        let delay = self.delay;
-        let deadline = *self.deadline.get_or_insert(now + delay);
-        if now >= deadline {
-            self.timer = None;
-            Poll::Ready(())
-        } else {
-            if self.timer.is_none() {
-                self.timer = Some(handle.register_timer(deadline, cx.waker().clone()));
+    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
+        let this = self.get_mut();
+        Handle::with_current(|handle| {
+            let now = handle.now();
+            let deadline = *this.deadline.get_or_insert(now + this.delay);
+            if now >= deadline {
+                // The clock reached the deadline, so the timer (if any)
+                // already left the heap: nothing to cancel.
+                this.timer = None;
+                Poll::Ready(())
+            } else {
+                if this.timer.is_none() {
+                    this.timer = Some(handle.register_timer(deadline, cx.waker().clone()));
+                }
+                Poll::Pending
             }
-            Poll::Pending
-        }
+        })
     }
 }
 
@@ -61,8 +62,8 @@ impl Drop for Sleep {
     fn drop(&mut self) {
         // Cancel the pending timer so an abandoned sleep never advances
         // the simulation clock.
-        if let Some(cancelled) = self.timer.take() {
-            cancelled.set(true);
+        if let Some(timer) = self.timer.take() {
+            timer.cancel();
         }
     }
 }

@@ -75,9 +75,7 @@ impl Tracer {
     /// Records an event at the current virtual time (or
     /// [`SimTime::ZERO`] outside a running simulation).
     pub fn record(&self, actor: impl Into<String>, label: impl Into<String>) {
-        let at = Handle::try_current()
-            .map(|h| h.now())
-            .unwrap_or(SimTime::ZERO);
+        let at = Handle::try_with_current(Handle::now).unwrap_or(SimTime::ZERO);
         self.events.borrow_mut().push(TraceEvent {
             at,
             actor: actor.into(),
@@ -254,9 +252,7 @@ impl SpanSink {
         name: impl Into<String>,
         parent: Option<SpanId>,
     ) -> OpenSpan {
-        let start = Handle::try_current()
-            .map(|h| h.now())
-            .unwrap_or(SimTime::ZERO);
+        let start = Handle::try_with_current(Handle::now).unwrap_or(SimTime::ZERO);
         let id = {
             let mut s = self.state.borrow_mut();
             let id = SpanId(s.next_id);
@@ -285,9 +281,7 @@ impl SpanSink {
         name: impl Into<String>,
         parent: Option<SpanId>,
     ) -> SpanId {
-        let at = Handle::try_current()
-            .map(|h| h.now())
-            .unwrap_or(SimTime::ZERO);
+        let at = Handle::try_with_current(Handle::now).unwrap_or(SimTime::ZERO);
         self.record(track, name, at, at, parent, Vec::new())
     }
 
@@ -430,9 +424,7 @@ impl OpenSpan {
     /// Records the span ending at the current virtual time and returns
     /// its id.
     pub fn finish(self) -> SpanId {
-        let end = Handle::try_current()
-            .map(|h| h.now())
-            .unwrap_or(SimTime::ZERO);
+        let end = Handle::try_with_current(Handle::now).unwrap_or(SimTime::ZERO);
         self.finish_at(end)
     }
 

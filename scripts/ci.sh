@@ -10,6 +10,20 @@ cd "$(dirname "$0")/.."
 quick=0
 [[ "${1:-}" == "--quick" ]] && quick=1
 
+# Determinism probe: `cargo run -q --release <args>` twice; the two
+# outputs must be byte-identical, else print $1 and the diff and fail.
+replays_identically() {
+    local diverged=$1 a b
+    shift
+    a="$(cargo run -q --release "$@")"
+    b="$(cargo run -q --release "$@")"
+    if [[ "$a" != "$b" ]]; then
+        echo "$diverged" >&2
+        diff <(printf '%s\n' "$a") <(printf '%s\n' "$b") >&2 || true
+        exit 1
+    fi
+}
+
 echo "==> audit stage: kaas-audit static pass + sim-sanitizer test run"
 # Static determinism/resource-safety lint over the whole workspace, in
 # machine-readable mode: each finding is one JSON object which we turn
@@ -38,83 +52,41 @@ echo "==> chaos stage: seeded fault storm + determinism replay"
 cargo test -q --release --test chaos
 # Replay check: the same seeded storm twice; the example's recovery
 # timeline (and everything else it prints) must be byte-identical.
-chaos_a="$(cargo run -q --release --example chaos)"
-chaos_b="$(cargo run -q --release --example chaos)"
-if [[ "$chaos_a" != "$chaos_b" ]]; then
-    echo "chaos replay diverged between two same-seed runs" >&2
-    diff <(printf '%s\n' "$chaos_a") <(printf '%s\n' "$chaos_b") >&2 || true
-    exit 1
-fi
+replays_identically "chaos replay diverged between two same-seed runs" --example chaos
 
 echo "==> dataplane stage: cache/eviction tests + bench determinism"
 cargo test -q --release --test dataplane
 # The data-plane bench must replay byte-identically run to run.
-dp_a="$(cargo run -q --release -p kaas-bench --bin dataplane -- --quick)"
-dp_b="$(cargo run -q --release -p kaas-bench --bin dataplane -- --quick)"
-if [[ "$dp_a" != "$dp_b" ]]; then
-    echo "dataplane bench diverged between two runs" >&2
-    diff <(printf '%s\n' "$dp_a") <(printf '%s\n' "$dp_b") >&2 || true
-    exit 1
-fi
+replays_identically "dataplane bench diverged between two runs" -p kaas-bench --bin dataplane -- --quick
 
 echo "==> dataflow stage: workflow DAG tests + bench determinism"
 cargo test -q --release --test workflow_dataflow
 # The registered-flow bench must replay byte-identically run to run.
-df_a="$(cargo run -q --release -p kaas-bench --bin dataflow -- --quick)"
-df_b="$(cargo run -q --release -p kaas-bench --bin dataflow -- --quick)"
-if [[ "$df_a" != "$df_b" ]]; then
-    echo "dataflow bench diverged between two runs" >&2
-    diff <(printf '%s\n' "$df_a") <(printf '%s\n' "$df_b") >&2 || true
-    exit 1
-fi
+replays_identically "dataflow bench diverged between two runs" -p kaas-bench --bin dataflow -- --quick
 
 echo "==> cluster stage: sharded-dispatch tests + bench determinism"
 cargo test -q --release --test dispatch_shard
 # The dispatch A/B bench (serialized knee vs sharded+batched) must
 # replay byte-identically run to run.
-cl_a="$(cargo run -q --release -p kaas-bench --bin cluster -- --quick)"
-cl_b="$(cargo run -q --release -p kaas-bench --bin cluster -- --quick)"
-if [[ "$cl_a" != "$cl_b" ]]; then
-    echo "cluster bench diverged between two runs" >&2
-    diff <(printf '%s\n' "$cl_a") <(printf '%s\n' "$cl_b") >&2 || true
-    exit 1
-fi
+replays_identically "cluster bench diverged between two runs" -p kaas-bench --bin cluster -- --quick
 
 echo "==> overload stage: overload-control tests + bench determinism"
 cargo test -q --release --test overload
 # The metastable-failure A/B bench must replay byte-identically run to
 # run (burst timing, sheds, ejections, budget denials included).
-ov_a="$(cargo run -q --release -p kaas-bench --bin overload -- --quick)"
-ov_b="$(cargo run -q --release -p kaas-bench --bin overload -- --quick)"
-if [[ "$ov_a" != "$ov_b" ]]; then
-    echo "overload bench diverged between two runs" >&2
-    diff <(printf '%s\n' "$ov_a") <(printf '%s\n' "$ov_b") >&2 || true
-    exit 1
-fi
+replays_identically "overload bench diverged between two runs" -p kaas-bench --bin overload -- --quick
 
 echo "==> guest stage: guest runtime tests + coldstart bench determinism"
 cargo test -q --release -p kaas-guest
 cargo test -q --release --test guest_runtime
 # The two-path cold-start sweep must replay byte-identically run to run.
-gk_a="$(cargo run -q --release -p kaas-bench --bin coldstart -- --quick)"
-gk_b="$(cargo run -q --release -p kaas-bench --bin coldstart -- --quick)"
-if [[ "$gk_a" != "$gk_b" ]]; then
-    echo "coldstart bench diverged between two runs" >&2
-    diff <(printf '%s\n' "$gk_a") <(printf '%s\n' "$gk_b") >&2 || true
-    exit 1
-fi
+replays_identically "coldstart bench diverged between two runs" -p kaas-bench --bin coldstart -- --quick
 
 echo "==> verify stage: bytecode verifier differential test + bench determinism"
 cargo test -q --release -p kaas-guest --test differential
 # The checking-vs-fast-path sweep is modeled from instruction/check
 # counters, so it must replay byte-identically run to run.
-vf_a="$(cargo run -q --release -p kaas-bench --bin verify -- --quick)"
-vf_b="$(cargo run -q --release -p kaas-bench --bin verify -- --quick)"
-if [[ "$vf_a" != "$vf_b" ]]; then
-    echo "verify bench diverged between two runs" >&2
-    diff <(printf '%s\n' "$vf_a") <(printf '%s\n' "$vf_b") >&2 || true
-    exit 1
-fi
+replays_identically "verify bench diverged between two runs" -p kaas-bench --bin verify -- --quick
 
 echo "==> cargo build --features trace --examples"
 cargo build --release --features trace --examples
