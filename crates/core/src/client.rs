@@ -33,7 +33,7 @@ use kaas_kernels::Value;
 use kaas_net::{
     Connection, LinkFault, LinkProfile, NetError, Network, SerializationProfile, SharedMemory,
 };
-use kaas_simtime::{now, sleep, timeout, SpanId, SpanSink};
+use kaas_simtime::{now, sleep, timeout, OpenSpan, SimTime, SpanId, SpanSink};
 
 use crate::dataplane::{
     ObjectRef, DATA_GET_KERNEL, DATA_PIN_KERNEL, DATA_PUT_KERNEL, DATA_SEAL_KERNEL,
@@ -43,7 +43,7 @@ use crate::guest::{CODE_LIST_KERNEL, CODE_REGISTER_KERNEL, CODE_REMOVE_KERNEL};
 use crate::metrics::registry::MetricsRegistry;
 use crate::metrics::InvocationReport;
 use crate::protocol::{DataRef, InvokeError, Request, RequestFrame, Response, ResponseFrame};
-use crate::resilience::{NoBackoff, RetryBudget, RetryPolicy};
+use crate::resilience::{NoBackoff, RetryBudget, RetryGate, RetryPolicy};
 use crate::workflow::{FlowError, Workflow, WorkflowHandle, WorkflowReport, WorkflowRun};
 
 /// Result of a successful invocation, as observed by the client.
@@ -123,6 +123,8 @@ pub struct KaasClient {
     shm: Option<SharedMemory>,
     tenant: Option<String>,
     id: u64,
+    /// The `client{N}` trace track, built once.
+    track: String,
     next_seq: u64,
     tracer: Option<SpanSink>,
     retry: Option<ClientRetryConfig>,
@@ -163,6 +165,7 @@ impl KaasClient {
             shm: None,
             tenant: None,
             id,
+            track: format!("client{id}"),
             next_seq: 0,
             tracer: None,
             retry: None,
@@ -216,8 +219,7 @@ impl KaasClient {
     /// Attach the same sink to the server config to see one invocation
     /// across every hop.
     pub fn with_tracer(mut self, tracer: SpanSink) -> Self {
-        self.conn
-            .set_tracer(tracer.clone(), format!("client{}", self.id));
+        self.conn.set_tracer(tracer.clone(), self.track.clone());
         self.tracer = Some(tracer);
         self
     }
@@ -242,13 +244,8 @@ impl KaasClient {
     pub fn call(&mut self, kernel: &str) -> InvokeBuilder<'_> {
         InvokeBuilder {
             kernel: kernel.to_owned(),
-            input: Value::Unit,
-            object: None,
-            tenant: None,
-            deadline: None,
-            timeout: None,
-            trace: true,
-            out_of_band: false,
+            input: Input::Value(Value::Unit),
+            opts: CallOpts::default(),
             hedge: None,
             client: self,
         }
@@ -424,13 +421,8 @@ impl KaasClient {
         FlowBuilder {
             id: handle.id(),
             name: handle.name().to_owned(),
-            input: Value::Unit,
-            object: None,
-            tenant: None,
-            deadline: None,
-            timeout: None,
-            trace: true,
-            out_of_band: false,
+            input: Input::Value(Value::Unit),
+            opts: CallOpts::default(),
             client: self,
         }
     }
@@ -449,106 +441,346 @@ impl KaasClient {
         }
     }
 
-    async fn roundtrip(&mut self, req: Request) -> Result<Response, InvokeError> {
-        let id = req.id;
-        let span = req.span;
-        let frame = RequestFrame::One(req);
-        let bytes = frame.wire_bytes();
-        self.conn
-            .send_traced(frame, bytes, span)
-            .await
-            .map_err(|_| InvokeError::Disconnected)?;
-        loop {
-            let frame = self.conn.recv().await.ok_or(InvokeError::Disconnected)?;
-            match frame.body {
-                ResponseFrame::One(resp) if resp.id == id => return Ok(resp),
-                // A response to an older (abandoned) request or to a
-                // timed-out batch: drop it.
-                _ => {}
-            }
+    /// The id the next request will draw: this client's identity in the
+    /// high half, its sequence number in the low half.
+    fn next_id(&self) -> u64 {
+        (self.id << 32) | (self.next_seq & 0xffff_ffff)
+    }
+
+    /// Builds one request under a freshly drawn id, falling back to the
+    /// client's tenant and making the relative deadline absolute.
+    fn request(
+        &mut self,
+        kernel: String,
+        data: DataRef,
+        opts: &CallOpts,
+        span: Option<SpanId>,
+    ) -> Request {
+        let id = self.next_id();
+        self.next_seq += 1;
+        Request {
+            id,
+            kernel,
+            data,
+            tenant: opts.tenant.clone().or_else(|| self.tenant.clone()),
+            deadline: opts.deadline.map(|d| now() + d),
+            span,
+            reply_out_of_band: opts.out_of_band,
+            reply_to_store: false,
         }
     }
 
-    /// The hedged round trip: sends `req`, and if no response arrives
-    /// within `delay`, sends the pre-built duplicate `hedge` too. The
-    /// first response matching **either** id wins; the loser's reply is
-    /// dropped by the stale-response filter like any abandoned request.
-    async fn roundtrip_hedged(
+    /// Opens the root span `name` of one call on this client's track
+    /// (untraced when `trace` is off or no sink is attached).
+    fn root(&self, trace: bool, name: &str, args: impl FnOnce(&mut OpenSpan)) -> RootSpan {
+        RootSpan(self.tracer.as_ref().filter(|_| trace).map(|t| {
+            let mut span = t.open(&self.track, name, None);
+            args(&mut span);
+            (t.clone(), span)
+        }))
+    }
+
+    /// Stage 1: puts the input on the wire. A stored object travels as
+    /// its 24-byte content address inside the frame (nothing to
+    /// serialize or stage); a value is shm-put out-of-band or serialized
+    /// in-band. Out-of-band mode needs the region even for ref inputs:
+    /// the reply comes back through it.
+    async fn stage(
+        &self,
+        input: Input,
+        out_of_band: bool,
+        root: &RootSpan,
+    ) -> Result<DataRef, InvokeError> {
+        let shm = match out_of_band {
+            true => Some(self.shm.as_ref().ok_or(InvokeError::BadHandle)?),
+            false => None,
+        };
+        let t0 = now();
+        Ok(match (input, shm) {
+            (Input::Ref(r), _) => DataRef::Object(r),
+            (Input::Value(v), Some(shm)) => {
+                let bytes = v.wire_bytes();
+                let handle = shm.put(v, bytes).await;
+                root.record(&self.track, "shm_put", t0);
+                DataRef::OutOfBand(handle)
+            }
+            (Input::Value(v), None) => {
+                sleep(self.serialization.time(v.wire_bytes())).await;
+                root.record(&self.track, "serialize", t0);
+                DataRef::InBand(v)
+            }
+        })
+    }
+
+    /// Stage 3: materializes a reply payload the way it came back.
+    async fn materialize(&self, data: DataRef, root: &RootSpan) -> Result<Value, InvokeError> {
+        let t0 = now();
+        match data {
+            DataRef::InBand(v) => {
+                sleep(self.serialization.time(v.wire_bytes())).await;
+                root.record(&self.track, "deserialize", t0);
+                Ok(v)
+            }
+            DataRef::OutOfBand(h) => {
+                let shm = self.shm.as_ref().ok_or(InvokeError::BadHandle)?;
+                let v = shm.take(h).await.ok_or(InvokeError::BadHandle)?;
+                root.record(&self.track, "shm_take", t0);
+                Ok(v)
+            }
+            // Bare content addresses only answer `send_ref` triggers.
+            DataRef::Object(_) => Err(InvokeError::BadHandle),
+        }
+    }
+
+    /// Stage 2 for single requests (invoke and flow): one request
+    /// frame, hedged when asked and the input is duplicable.
+    async fn send_one(
         &mut self,
-        req: Request,
-        hedge: Request,
-        delay: Duration,
+        kernel: String,
+        data: DataRef,
+        opts: &CallOpts,
+        hedge: Option<Duration>,
+        root: &RootSpan,
     ) -> Result<Response, InvokeError> {
-        let primary = req.id;
-        let span = req.span;
-        let frame = RequestFrame::One(req);
-        let bytes = frame.wire_bytes();
-        self.conn
-            .send_traced(frame, bytes, span)
-            .await
-            .map_err(|_| InvokeError::Disconnected)?;
-        let fire_at = now() + delay;
-        let mut hedge = Some(hedge);
+        let reply = self
+            .exchange(root, opts.timeout, |client, span| {
+                let req = client.request(kernel, data, opts, span);
+                // A hedge is a second, identical request under its own
+                // id. Out-of-band inputs are consume-once shm handles,
+                // so they never hedge; object refs are plain content
+                // addresses and duplicate safely. The duplicate is
+                // untraced: two server span trees under one roundtrip
+                // span would overlap.
+                let hedge = hedge.filter(|_| !opts.out_of_band).and_then(|delay| {
+                    let data = match &req.data {
+                        DataRef::InBand(v) => DataRef::InBand(v.clone()),
+                        DataRef::Object(r) => DataRef::Object(*r),
+                        DataRef::OutOfBand(_) => return None,
+                    };
+                    Some((client.request(req.kernel.clone(), data, opts, None), delay))
+                });
+                (RequestFrame::One(req), hedge)
+            })
+            .await?;
+        match reply {
+            ResponseFrame::One(resp) => Ok(resp),
+            // Only batch frames get batch replies.
+            ResponseFrame::Batch(_) => Err(InvokeError::BadHandle),
+        }
+    }
+
+    /// The one wire exchange, under a `roundtrip` span: `frame` builds
+    /// the request frame (plus an optional hedge and its delay) given
+    /// that span's pre-allocated id, which a traced request carries so
+    /// the server parents its spans under it. Awaits the reply whose
+    /// first id matches the frame's first request. An armed hedge goes
+    /// out when nothing matched within its delay, and a reply to either
+    /// id wins; the loser's reply is dropped like any stale one. `limit`
+    /// bounds the whole exchange, resolving as
+    /// [`InvokeError::TimedOut`].
+    async fn exchange(
+        &mut self,
+        root: &RootSpan,
+        limit: Option<Duration>,
+        frame: impl FnOnce(&mut Self, Option<SpanId>) -> (RequestFrame, Option<Hedge>),
+    ) -> Result<ResponseFrame, InvokeError> {
+        let rt = root.open(&self.track, "roundtrip");
+        let span = rt.as_ref().map(OpenSpan::id);
+        let (frame, hedge) = frame(self, span);
+        let wire = self.exchange_unbounded(frame, span, hedge);
+        let reply = match limit {
+            Some(d) => timeout(d, wire).await.unwrap_or(Err(InvokeError::TimedOut)),
+            None => wire.await,
+        };
+        if let Some(rt) = rt {
+            rt.finish();
+        }
+        reply
+    }
+
+    async fn exchange_unbounded(
+        &mut self,
+        frame: RequestFrame,
+        span: Option<SpanId>,
+        hedge: Option<Hedge>,
+    ) -> Result<ResponseFrame, InvokeError> {
+        let first = match &frame {
+            RequestFrame::One(req) => req.id,
+            RequestFrame::Batch(reqs) => reqs[0].id,
+        };
+        self.send_frame(frame, span).await?;
+        let mut hedge = hedge.map(|(req, delay)| (req, now() + delay));
         let mut hedge_id = None;
         loop {
             let frame = match &hedge {
                 // Armed: wait for the primary, but only until the hedge
                 // fires. The deadline is absolute so stale frames
                 // draining through the loop cannot push it out.
-                Some(_) => match timeout(fire_at.saturating_since(now()), self.conn.recv()).await {
-                    Ok(frame) => frame,
-                    Err(_) => {
-                        let h = hedge.take().expect("armed branch requires a pending hedge");
-                        hedge_id = Some(h.id);
-                        self.metrics.inc("hedges.sent");
-                        let frame = RequestFrame::One(h);
-                        let bytes = frame.wire_bytes();
-                        self.conn
-                            .send_traced(frame, bytes, None)
-                            .await
-                            .map_err(|_| InvokeError::Disconnected)?;
-                        continue;
+                Some((_, fire_at)) => {
+                    match timeout(fire_at.saturating_since(now()), self.conn.recv()).await {
+                        Ok(frame) => frame,
+                        Err(_) => {
+                            let (req, _) = hedge.take().expect("armed hedge");
+                            hedge_id = Some(req.id);
+                            self.metrics.inc("hedges.sent");
+                            self.send_frame(RequestFrame::One(req), None).await?;
+                            continue;
+                        }
                     }
-                },
+                }
                 None => self.conn.recv().await,
             };
-            let frame = frame.ok_or(InvokeError::Disconnected)?;
-            match frame.body {
-                ResponseFrame::One(resp) if resp.id == primary => return Ok(resp),
-                ResponseFrame::One(resp) if Some(resp.id) == hedge_id => {
+            let body = frame.ok_or(InvokeError::Disconnected)?.body;
+            let id = match &body {
+                ResponseFrame::One(resp) => Some(resp.id),
+                ResponseFrame::Batch(resps) => resps.first().map(|r| r.id),
+            };
+            match id {
+                Some(id) if id == first => return Ok(body),
+                Some(id) if Some(id) == hedge_id => {
                     self.metrics.inc("hedges.won");
-                    return Ok(resp);
+                    return Ok(body);
                 }
+                // A reply to an older (abandoned) request or to a
+                // timed-out batch: drop it.
                 _ => {}
             }
         }
     }
 
-    /// Sends a coalesced batch frame and waits for its coalesced reply,
-    /// correlated by the first member's id.
-    async fn batch_roundtrip(
+    async fn send_frame(
         &mut self,
-        reqs: Vec<Request>,
+        frame: RequestFrame,
         span: Option<SpanId>,
-    ) -> Result<Vec<Response>, InvokeError> {
-        let first = reqs[0].id;
-        let frame = RequestFrame::Batch(reqs);
+    ) -> Result<(), InvokeError> {
         let bytes = frame.wire_bytes();
         self.conn
             .send_traced(frame, bytes, span)
             .await
-            .map_err(|_| InvokeError::Disconnected)?;
-        loop {
-            let frame = self.conn.recv().await.ok_or(InvokeError::Disconnected)?;
-            match frame.body {
-                ResponseFrame::Batch(resps) if resps.first().is_some_and(|r| r.id == first) => {
-                    return Ok(resps)
-                }
-                // A stale single response or an abandoned batch's reply.
-                _ => {}
-            }
+            .map_err(|_| InvokeError::Disconnected)
+    }
+
+    /// One invocation attempt: stage, exchange (hedged if asked),
+    /// materialize, all under one `invoke` root span.
+    async fn invoke(
+        &mut self,
+        kernel: &str,
+        input: Input,
+        opts: &CallOpts,
+        hedge: Option<Duration>,
+    ) -> Result<Invocation, InvokeError> {
+        let start = now();
+        let id = self.next_id();
+        let root = self.root(opts.trace, "invoke", |s| {
+            s.push_arg("kernel", kernel);
+            s.push_arg("request", id.to_string());
+        });
+        let out: Result<Invocation, InvokeError> = async {
+            let data = self.stage(input, opts.out_of_band, &root).await?;
+            let resp = self
+                .send_one(kernel.to_owned(), data, opts, hedge, &root)
+                .await?;
+            let output = self.materialize(resp.result?, &root).await?;
+            Ok(Invocation {
+                output,
+                report: resp.report.ok_or(InvokeError::Disconnected)?,
+                latency: now() - start,
+            })
+        }
+        .await;
+        root.finish();
+        out
+    }
+
+    /// One flow trigger up to its reply: the trigger envelope is staged
+    /// and exchanged like any single request (a ref input travels inside
+    /// the envelope — the payload itself stays server-side), and the
+    /// reply splits into payload + per-step report.
+    async fn trigger(
+        &mut self,
+        flow: u64,
+        input: Input,
+        opts: &CallOpts,
+        flags: u64,
+        root: &RootSpan,
+    ) -> Result<(DataRef, WorkflowReport), FlowError> {
+        let input = match input {
+            Input::Value(v) => v,
+            Input::Ref(r) => r.to_value(),
+        };
+        let trigger = Input::Value(encode_trigger(flow, flags, input));
+        let data = self.stage(trigger, opts.out_of_band, root).await?;
+        let resp = self
+            .send_one(FLOW_RUN_KERNEL.to_owned(), data, opts, None, root)
+            .await?;
+        match resp.result {
+            Ok(data) => Ok((data, resp.flow.ok_or(InvokeError::Disconnected)?)),
+            Err(error) => Err(FlowError {
+                error,
+                partial: resp.flow.map(|f| f.steps).unwrap_or_default(),
+            }),
         }
     }
+}
+
+/// A hedge request and the delay after which it goes out.
+type Hedge = (Request, Duration);
+
+/// The root span of one client call (empty when untraced). Each call
+/// shape runs its whole body first and then finishes the root once, so
+/// every exit path — error returns included — records it.
+struct RootSpan(Option<(SpanSink, OpenSpan)>);
+
+impl RootSpan {
+    /// Records the finished stage `name`, from `start` until now.
+    fn record(&self, track: &str, name: &str, start: SimTime) {
+        if let Some((sink, root)) = &self.0 {
+            sink.record(track, name, start, now(), Some(root.id()), vec![]);
+        }
+    }
+
+    /// Opens the child span `name`; its caller finishes it.
+    fn open(&self, track: &str, name: &str) -> Option<OpenSpan> {
+        self.0
+            .as_ref()
+            .map(|(sink, root)| sink.open(track, name, Some(root.id())))
+    }
+
+    fn finish(self) {
+        if let Some((_, root)) = self.0 {
+            root.finish();
+        }
+    }
+}
+
+/// The options every call shape shares; each builder exposes the
+/// setters that apply to it.
+#[derive(Debug, Clone)]
+struct CallOpts {
+    tenant: Option<String>,
+    deadline: Option<Duration>,
+    timeout: Option<Duration>,
+    trace: bool,
+    out_of_band: bool,
+}
+
+impl Default for CallOpts {
+    fn default() -> Self {
+        CallOpts {
+            tenant: None,
+            deadline: None,
+            timeout: None,
+            trace: true,
+            out_of_band: false,
+        }
+    }
+}
+
+/// A call's input: a value, or a stored object by content address.
+#[derive(Debug, Clone)]
+enum Input {
+    Value(Value),
+    Ref(ObjectRef),
 }
 
 /// A pending invocation under construction; create via
@@ -558,35 +790,15 @@ impl KaasClient {
 pub struct InvokeBuilder<'c> {
     client: &'c mut KaasClient,
     kernel: String,
-    input: Value,
-    object: Option<ObjectRef>,
-    tenant: Option<String>,
-    deadline: Option<Duration>,
-    timeout: Option<Duration>,
-    trace: bool,
-    out_of_band: bool,
-    hedge: Option<Duration>,
-}
-
-/// The per-attempt parameters of one invocation, split from
-/// [`InvokeBuilder`] so the client-side retry loop can replay an
-/// attempt with a fresh request id and a cloned input.
-struct CallParams {
-    kernel: String,
-    object: Option<ObjectRef>,
-    tenant: Option<String>,
-    deadline: Option<Duration>,
-    rt_timeout: Option<Duration>,
-    trace: bool,
-    out_of_band: bool,
+    input: Input,
+    opts: CallOpts,
     hedge: Option<Duration>,
 }
 
 impl<'c> InvokeBuilder<'c> {
     /// Sets the kernel input (default: [`Value::Unit`]).
     pub fn arg(mut self, input: Value) -> Self {
-        self.input = input;
-        self.object = None;
+        self.input = Input::Value(input);
         self
     }
 
@@ -596,14 +808,13 @@ impl<'c> InvokeBuilder<'c> {
     /// invocations on the same device skip the host→device copy
     /// entirely. Overrides any previous [`arg`](InvokeBuilder::arg).
     pub fn arg_ref(mut self, r: ObjectRef) -> Self {
-        self.object = Some(r);
-        self.input = Value::Unit;
+        self.input = Input::Ref(r);
         self
     }
 
     /// Overrides the client's tenant identity for this call only.
     pub fn tenant(mut self, tenant: impl Into<String>) -> Self {
-        self.tenant = Some(tenant.into());
+        self.opts.tenant = Some(tenant.into());
         self
     }
 
@@ -611,7 +822,7 @@ impl<'c> InvokeBuilder<'c> {
     /// *starting* device work; requests still undispatched past it are
     /// shed with [`InvokeError::DeadlineExceeded`].
     pub fn deadline(mut self, deadline: Duration) -> Self {
-        self.deadline = Some(deadline);
+        self.opts.deadline = Some(deadline);
         self
     }
 
@@ -621,14 +832,14 @@ impl<'c> InvokeBuilder<'c> {
     /// for lost frames (link faults): without it a dropped request or
     /// response would block the caller forever.
     pub fn timeout(mut self, timeout: Duration) -> Self {
-        self.timeout = Some(timeout);
+        self.opts.timeout = Some(timeout);
         self
     }
 
     /// Opts this call in or out of span recording (default: on, a no-op
     /// unless a sink was attached via [`KaasClient::with_tracer`]).
     pub fn trace(mut self, trace: bool) -> Self {
-        self.trace = trace;
+        self.opts.trace = trace;
         self
     }
 
@@ -640,7 +851,7 @@ impl<'c> InvokeBuilder<'c> {
     /// the reply — pair them whenever the kernel's output is large.
     /// Requires [`KaasClient::with_shared_memory`].
     pub fn out_of_band(mut self) -> Self {
-        self.out_of_band = true;
+        self.opts.out_of_band = true;
         self
     }
 
@@ -673,257 +884,38 @@ impl<'c> InvokeBuilder<'c> {
             client,
             kernel,
             input,
-            object,
-            tenant,
-            deadline,
-            timeout: rt_timeout,
-            trace,
-            out_of_band,
+            opts,
             hedge,
         } = self;
-        let params = CallParams {
-            kernel,
-            object,
-            tenant,
-            deadline,
-            rt_timeout,
-            trace,
-            out_of_band,
-            hedge,
-        };
         let retry = client.retry.clone();
-        if let Some(budget) = retry.as_ref().and_then(|r| r.budget.as_ref()) {
-            budget.note_fresh();
-        }
-        let max_attempts = retry.as_ref().map_or(1, |r| r.max_attempts);
+        let gate = RetryGate::fresh(
+            retry.as_ref().map_or(1, |r| r.max_attempts),
+            retry.as_ref().and_then(|r| r.budget.as_deref()),
+        );
         // Deterministic jitter key: the id this call's first attempt
         // will draw. Stable across attempts so backoff policies see one
         // request, not N.
-        let retry_key = (client.id << 32) | (client.next_seq & 0xffff_ffff);
+        let retry_key = client.next_id();
+        let backoff = |attempt| {
+            retry
+                .as_ref()
+                .map_or(Duration::ZERO, |r| r.backoff.backoff(attempt, retry_key))
+        };
         let mut attempt = 0u32;
         loop {
             attempt += 1;
-            let err = match params.attempt(client, input.clone()).await {
+            let err = match client.invoke(&kernel, input.clone(), &opts, hedge).await {
                 Ok(inv) => return Ok(inv),
-                Err(e) if attempt < max_attempts && ClientRetryConfig::retryable(&e) => e,
-                Err(e) => return Err(e),
+                Err(e) => e,
             };
-            let cfg = retry
-                .as_ref()
-                .expect("max_attempts > 1 only with a retry config");
-            if let Some(budget) = &cfg.budget {
-                if !budget.try_spend() {
-                    client.metrics.inc("retries.budget_exhausted");
-                    return Err(err);
-                }
-            }
-            // Cooperative backpressure: wait at least what the server
-            // asked for, even when our own backoff would retry sooner.
-            let mut wait = cfg.backoff.backoff(attempt, retry_key);
-            if let InvokeError::Overloaded {
-                retry_after: Some(hint),
-            } = &err
-            {
-                wait = wait.max(*hint);
-            }
-            if !wait.is_zero() {
-                sleep(wait).await;
-            }
-        }
-    }
-}
-
-impl CallParams {
-    /// One full attempt: stage the input, round-trip (hedged if asked),
-    /// materialize the output.
-    async fn attempt(
-        &self,
-        client: &mut KaasClient,
-        input: Value,
-    ) -> Result<Invocation, InvokeError> {
-        let CallParams {
-            kernel,
-            object,
-            tenant,
-            deadline,
-            rt_timeout,
-            trace,
-            out_of_band,
-            hedge,
-        } = self;
-        let (object, deadline, rt_timeout, trace, out_of_band, hedge) = (
-            *object,
-            *deadline,
-            *rt_timeout,
-            *trace,
-            *out_of_band,
-            *hedge,
-        );
-        let tracer = if trace { client.tracer.clone() } else { None };
-        let track = format!("client{}", client.id);
-        let seq = client.next_seq;
-        client.next_seq += 1;
-        let id = (client.id << 32) | (seq & 0xffff_ffff);
-
-        let start = now();
-        let mut root = tracer.as_ref().map(|t| {
-            let mut s = t.open(&track, "invoke", None);
-            s.push_arg("kernel", kernel);
-            s.push_arg("request", id.to_string());
-            s
-        });
-
-        // Stage 1: put the input on the wire (a 24-byte content address
-        // for stored objects, serialize in-band, shm-put out-of-band).
-        // Out-of-band mode needs the region even for ref inputs: the
-        // reply comes back through it.
-        let shm = if out_of_band {
-            Some(client.shm.as_ref().ok_or(InvokeError::BadHandle)?.clone())
-        } else {
-            None
-        };
-        let t0 = now();
-        let data = if let Some(r) = object {
-            // A content address is part of the request frame itself —
-            // no payload to serialize, nothing to stage in shm.
-            DataRef::Object(r)
-        } else {
-            match &shm {
-                Some(shm) => {
-                    let bytes = input.wire_bytes();
-                    let handle = shm.put(input, bytes).await;
-                    if let (Some(t), Some(root)) = (&tracer, &root) {
-                        t.record(&track, "shm_put", t0, now(), Some(root.id()), vec![]);
-                    }
-                    DataRef::OutOfBand(handle)
-                }
-                None => {
-                    sleep(client.serialization.time(input.wire_bytes())).await;
-                    if let (Some(t), Some(root)) = (&tracer, &root) {
-                        t.record(&track, "serialize", t0, now(), Some(root.id()), vec![]);
-                    }
-                    DataRef::InBand(input)
-                }
-            }
-        };
-
-        // Stage 2: the network round trip. The server parents its spans
-        // under this span's pre-allocated id, carried in the request.
-        let rt = tracer
-            .as_ref()
-            .zip(root.as_ref())
-            .map(|(t, root)| t.open(&track, "roundtrip", Some(root.id())));
-        let req = Request {
-            id,
-            kernel: kernel.clone(),
-            data,
-            tenant: tenant.clone().or_else(|| client.tenant.clone()),
-            deadline: deadline.map(|d| now() + d),
-            span: rt.as_ref().map(|s| s.id()),
-            reply_out_of_band: out_of_band,
-            reply_to_store: false,
-        };
-        // A hedge (when armed and the input is duplicable) is a second,
-        // identical request under its own id. Out-of-band inputs are
-        // consume-once shm handles, so they never hedge; object refs
-        // are plain content addresses and duplicate safely.
-        let hedge_req = match hedge {
-            Some(_) if !out_of_band => {
-                let data = match (&req.data, object) {
-                    (_, Some(r)) => Some(DataRef::Object(r)),
-                    (DataRef::InBand(v), None) => Some(DataRef::InBand(v.clone())),
-                    _ => None,
-                };
-                data.map(|data| {
-                    let seq = client.next_seq;
-                    client.next_seq += 1;
-                    Request {
-                        id: (client.id << 32) | (seq & 0xffff_ffff),
-                        kernel: kernel.clone(),
-                        data,
-                        tenant: req.tenant.clone(),
-                        deadline: req.deadline,
-                        // The duplicate is untraced: two server span
-                        // trees under one roundtrip span would overlap.
-                        span: None,
-                        reply_out_of_band: false,
-                        reply_to_store: false,
-                    }
-                })
-            }
-            _ => None,
-        };
-        let resp = match (rt_timeout, hedge_req) {
-            (Some(d), Some(h)) => {
-                let delay = hedge.expect("hedge_req implies a delay");
-                timeout(d, client.roundtrip_hedged(req, h, delay))
-                    .await
-                    .unwrap_or(Err(InvokeError::TimedOut))
-            }
-            (None, Some(h)) => {
-                let delay = hedge.expect("hedge_req implies a delay");
-                client.roundtrip_hedged(req, h, delay).await
-            }
-            (Some(d), None) => timeout(d, client.roundtrip(req))
+            let retryable = ClientRetryConfig::retryable(&err);
+            if !gate
+                .retry(attempt, &err, retryable, backoff, &client.metrics)
                 .await
-                .unwrap_or(Err(InvokeError::TimedOut)),
-            (None, None) => client.roundtrip(req).await,
-        };
-        let resp = match resp {
-            Ok(resp) => resp,
-            Err(e) => {
-                if let Some(rt) = rt {
-                    rt.finish();
-                }
-                if let Some(root) = root.take() {
-                    root.finish();
-                }
-                return Err(e);
+            {
+                return Err(err);
             }
-        };
-        if let Some(rt) = rt {
-            rt.finish();
         }
-        let result = match resp.result {
-            Ok(data) => data,
-            Err(e) => {
-                if let Some(root) = root.take() {
-                    root.finish();
-                }
-                return Err(e);
-            }
-        };
-
-        // Stage 3: materialize the output the way it came back.
-        let t2 = now();
-        let output = match result {
-            DataRef::InBand(v) => {
-                sleep(client.serialization.time(v.wire_bytes())).await;
-                if let (Some(t), Some(root)) = (&tracer, &root) {
-                    t.record(&track, "deserialize", t2, now(), Some(root.id()), vec![]);
-                }
-                v
-            }
-            DataRef::OutOfBand(h) => {
-                let shm = client.shm.as_ref().ok_or(InvokeError::BadHandle)?;
-                let v = shm.take(h).await.ok_or(InvokeError::BadHandle)?;
-                if let (Some(t), Some(root)) = (&tracer, &root) {
-                    t.record(&track, "shm_take", t2, now(), Some(root.id()), vec![]);
-                }
-                v
-            }
-            // Servers never answer with a bare content address.
-            DataRef::Object(_) => return Err(InvokeError::BadHandle),
-        };
-
-        if let Some(root) = root {
-            root.finish();
-        }
-        Ok(Invocation {
-            output,
-            report: resp.report.ok_or(InvokeError::Disconnected)?,
-            latency: now() - start,
-        })
     }
 }
 
@@ -935,21 +927,15 @@ pub struct FlowBuilder<'c> {
     client: &'c mut KaasClient,
     id: u64,
     name: String,
-    input: Value,
-    object: Option<ObjectRef>,
-    tenant: Option<String>,
-    deadline: Option<Duration>,
-    timeout: Option<Duration>,
-    trace: bool,
-    out_of_band: bool,
+    input: Input,
+    opts: CallOpts,
 }
 
 impl<'c> FlowBuilder<'c> {
     /// Sets the trigger input fed to the flow's source steps (default:
     /// [`Value::Unit`]).
     pub fn input(mut self, input: Value) -> Self {
-        self.input = input;
-        self.object = None;
+        self.input = Input::Value(input);
         self
     }
 
@@ -959,14 +945,13 @@ impl<'c> FlowBuilder<'c> {
     /// intermediate. Overrides any previous
     /// [`input`](FlowBuilder::input).
     pub fn input_ref(mut self, r: ObjectRef) -> Self {
-        self.object = Some(r);
-        self.input = Value::Unit;
+        self.input = Input::Ref(r);
         self
     }
 
     /// Overrides the client's tenant identity for this run only.
     pub fn tenant(mut self, tenant: impl Into<String>) -> Self {
-        self.tenant = Some(tenant.into());
+        self.opts.tenant = Some(tenant.into());
         self
     }
 
@@ -974,26 +959,26 @@ impl<'c> FlowBuilder<'c> {
     /// (relative to send time); a step still undispatched past it sheds
     /// with [`InvokeError::DeadlineExceeded`], aborting the flow.
     pub fn deadline(mut self, deadline: Duration) -> Self {
-        self.deadline = Some(deadline);
+        self.opts.deadline = Some(deadline);
         self
     }
 
     /// Bounds the network round trip, like [`InvokeBuilder::timeout`].
     pub fn timeout(mut self, timeout: Duration) -> Self {
-        self.timeout = Some(timeout);
+        self.opts.timeout = Some(timeout);
         self
     }
 
     /// Opts this run in or out of span recording (default: on).
     pub fn trace(mut self, trace: bool) -> Self {
-        self.trace = trace;
+        self.opts.trace = trace;
         self
     }
 
     /// Ships the trigger (and the final output) through shared memory.
     /// Requires [`KaasClient::with_shared_memory`].
     pub fn out_of_band(mut self) -> Self {
-        self.out_of_band = true;
+        self.opts.out_of_band = true;
         self
     }
 
@@ -1007,59 +992,28 @@ impl<'c> FlowBuilder<'c> {
     /// complete as partial results. A forged or expired handle fails
     /// with [`InvokeError::UnknownFlow`], never a panic.
     pub async fn send(self) -> Result<WorkflowRun, FlowError> {
-        let (data, report, start, client, tracer, track, root) = self.send_inner(0).await?;
-        // Materialize the output the way it came back.
-        let t2 = now();
-        let output = match data {
-            DataRef::InBand(v) => {
-                sleep(client.serialization.time(v.wire_bytes())).await;
-                if let (Some(t), Some(root)) = (&tracer, &root) {
-                    t.record(&track, "deserialize", t2, now(), Some(root.id()), vec![]);
-                }
-                v
-            }
-            DataRef::OutOfBand(h) => {
-                let shm = match client.shm.as_ref() {
-                    Some(shm) => shm,
-                    None => {
-                        if let Some(root) = root {
-                            root.finish();
-                        }
-                        return Err(FlowError::from(InvokeError::BadHandle));
-                    }
-                };
-                match shm.take(h).await {
-                    Some(v) => {
-                        if let (Some(t), Some(root)) = (&tracer, &root) {
-                            t.record(&track, "shm_take", t2, now(), Some(root.id()), vec![]);
-                        }
-                        v
-                    }
-                    None => {
-                        if let Some(root) = root {
-                            root.finish();
-                        }
-                        return Err(FlowError::from(InvokeError::BadHandle));
-                    }
-                }
-            }
-            // Bare content addresses only answer `send_ref` triggers.
-            DataRef::Object(_) => {
-                if let Some(root) = root {
-                    root.finish();
-                }
-                return Err(FlowError::from(InvokeError::BadHandle));
-            }
-        };
-        if let Some(root) = root {
-            root.finish();
+        let start = now();
+        let root = self.root();
+        let FlowBuilder {
+            client,
+            id,
+            input,
+            opts,
+            ..
+        } = self;
+        let out: Result<WorkflowRun, FlowError> = async {
+            let (data, report) = client.trigger(id, input, &opts, 0, &root).await?;
+            let output = client.materialize(data, &root).await?;
+            Ok(WorkflowRun {
+                output,
+                report,
+                latency: now() - start,
+                round_trips: 1,
+            })
         }
-        Ok(WorkflowRun {
-            output,
-            report,
-            latency: now() - start,
-            round_trips: 1,
-        })
+        .await;
+        root.finish();
+        out
     }
 
     /// Triggers the run but leaves the final output server-resident,
@@ -1072,154 +1026,29 @@ impl<'c> FlowBuilder<'c> {
     ///
     /// As [`send`](FlowBuilder::send).
     pub async fn send_ref(self) -> Result<(ObjectRef, WorkflowReport), FlowError> {
-        let (data, report, _, _, _, _, root) = self.send_inner(FLOW_REPLY_REF).await?;
-        if let Some(root) = root {
-            root.finish();
-        }
-        match data {
-            DataRef::Object(r) => Ok((r, report)),
+        let root = self.root();
+        let FlowBuilder {
+            client,
+            id,
+            input,
+            opts,
+            ..
+        } = self;
+        let out = client
+            .trigger(id, input, &opts, FLOW_REPLY_REF, &root)
+            .await;
+        root.finish();
+        match out? {
+            (DataRef::Object(r), report) => Ok((r, report)),
             _ => Err(FlowError::from(InvokeError::BadHandle)),
         }
     }
 
-    /// The shared trigger path: stages the trigger, does the round
-    /// trip, and splits the reply into payload + report. Returns the
-    /// still-open root span so the caller can hang materialization
-    /// spans under it.
-    #[allow(clippy::type_complexity)]
-    async fn send_inner(
-        self,
-        flags: u64,
-    ) -> Result<
-        (
-            DataRef,
-            WorkflowReport,
-            kaas_simtime::SimTime,
-            &'c mut KaasClient,
-            Option<SpanSink>,
-            String,
-            Option<kaas_simtime::OpenSpan>,
-        ),
-        FlowError,
-    > {
-        let FlowBuilder {
-            client,
-            id: flow_id,
-            name,
-            input,
-            object,
-            tenant,
-            deadline,
-            timeout: rt_timeout,
-            trace,
-            out_of_band,
-        } = self;
-        let tracer = if trace { client.tracer.clone() } else { None };
-        let track = format!("client{}", client.id);
-        let seq = client.next_seq;
-        client.next_seq += 1;
-        let id = (client.id << 32) | (seq & 0xffff_ffff);
-
-        let start = now();
-        let mut root = tracer.as_ref().map(|t| {
-            let mut s = t.open(&track, "flow", None);
-            s.push_arg("flow", flow_id.to_string());
-            s.push_arg("name", &name);
-            s
-        });
-
-        // Stage the trigger. A ref input travels inside the trigger
-        // envelope — the payload itself stays server-side.
-        let trigger = encode_trigger(
-            flow_id,
-            flags,
-            match object {
-                Some(r) => r.to_value(),
-                None => input,
-            },
-        );
-        let t0 = now();
-        let data = if out_of_band {
-            let shm = match client.shm.as_ref() {
-                Some(shm) => shm.clone(),
-                None => {
-                    if let Some(root) = root.take() {
-                        root.finish();
-                    }
-                    return Err(FlowError::from(InvokeError::BadHandle));
-                }
-            };
-            let bytes = trigger.wire_bytes();
-            let handle = shm.put(trigger, bytes).await;
-            if let (Some(t), Some(root)) = (&tracer, &root) {
-                t.record(&track, "shm_put", t0, now(), Some(root.id()), vec![]);
-            }
-            DataRef::OutOfBand(handle)
-        } else {
-            sleep(client.serialization.time(trigger.wire_bytes())).await;
-            if let (Some(t), Some(root)) = (&tracer, &root) {
-                t.record(&track, "serialize", t0, now(), Some(root.id()), vec![]);
-            }
-            DataRef::InBand(trigger)
-        };
-
-        // The round trip; the server hangs the whole run's span tree
-        // under this span's id.
-        let rt = tracer
-            .as_ref()
-            .zip(root.as_ref())
-            .map(|(t, root)| t.open(&track, "roundtrip", Some(root.id())));
-        let req = Request {
-            id,
-            kernel: FLOW_RUN_KERNEL.to_owned(),
-            data,
-            tenant: tenant.or_else(|| client.tenant.clone()),
-            deadline: deadline.map(|d| now() + d),
-            span: rt.as_ref().map(|s| s.id()),
-            reply_out_of_band: out_of_band,
-            reply_to_store: false,
-        };
-        let resp = match rt_timeout {
-            Some(d) => timeout(d, client.roundtrip(req))
-                .await
-                .unwrap_or(Err(InvokeError::TimedOut)),
-            None => client.roundtrip(req).await,
-        };
-        if let Some(rt) = rt {
-            rt.finish();
-        }
-        let resp = match resp {
-            Ok(resp) => resp,
-            Err(e) => {
-                if let Some(root) = root.take() {
-                    root.finish();
-                }
-                return Err(FlowError::from(e));
-            }
-        };
-        match resp.result {
-            Ok(data) => {
-                let report = match resp.flow {
-                    Some(report) => report,
-                    None => {
-                        if let Some(root) = root.take() {
-                            root.finish();
-                        }
-                        return Err(FlowError::from(InvokeError::Disconnected));
-                    }
-                };
-                Ok((data, report, start, client, tracer, track, root))
-            }
-            Err(e) => {
-                if let Some(root) = root.take() {
-                    root.finish();
-                }
-                Err(FlowError {
-                    error: e,
-                    partial: resp.flow.map(|f| f.steps).unwrap_or_default(),
-                })
-            }
-        }
+    fn root(&self) -> RootSpan {
+        self.client.root(self.opts.trace, "flow", |s| {
+            s.push_arg("flow", self.id.to_string());
+            s.push_arg("name", &self.name);
+        })
     }
 }
 
@@ -1229,10 +1058,8 @@ impl<'c> FlowBuilder<'c> {
 #[derive(Debug, Clone)]
 pub struct BatchCall {
     kernel: String,
-    input: Value,
-    object: Option<ObjectRef>,
-    tenant: Option<String>,
-    deadline: Option<Duration>,
+    input: Input,
+    opts: CallOpts,
 }
 
 impl BatchCall {
@@ -1241,38 +1068,34 @@ impl BatchCall {
     pub fn new(kernel: &str) -> Self {
         BatchCall {
             kernel: kernel.to_owned(),
-            input: Value::Unit,
-            object: None,
-            tenant: None,
-            deadline: None,
+            input: Input::Value(Value::Unit),
+            opts: CallOpts::default(),
         }
     }
 
     /// Sets the member's in-band input.
     pub fn arg(mut self, input: Value) -> Self {
-        self.input = input;
-        self.object = None;
+        self.input = Input::Value(input);
         self
     }
 
     /// Sets the member's input to a stored object by content address
     /// (overrides any previous [`arg`](BatchCall::arg)).
     pub fn arg_ref(mut self, r: ObjectRef) -> Self {
-        self.object = Some(r);
-        self.input = Value::Unit;
+        self.input = Input::Ref(r);
         self
     }
 
     /// Overrides the client's tenant identity for this member.
     pub fn tenant(mut self, tenant: impl Into<String>) -> Self {
-        self.tenant = Some(tenant.into());
+        self.opts.tenant = Some(tenant.into());
         self
     }
 
     /// Gives this member a server-side start deadline (relative to
     /// send time), like [`InvokeBuilder::deadline`].
     pub fn deadline(mut self, deadline: Duration) -> Self {
-        self.deadline = Some(deadline);
+        self.opts.deadline = Some(deadline);
         self
     }
 }
@@ -1333,129 +1156,94 @@ impl BatchBuilder<'_> {
         let BatchBuilder {
             client,
             calls,
-            timeout: rt_timeout,
+            timeout,
         } = self;
         if calls.is_empty() {
             return Ok(Vec::new());
         }
         let n = calls.len();
-        let tracer = client.tracer.clone();
-        let track = format!("client{}", client.id);
         let start = now();
-        let mut root = tracer.as_ref().map(|t| {
-            let mut s = t.open(&track, "batch", None);
-            s.push_arg("members", n.to_string());
-            s
-        });
+        let root = client.root(true, "batch", |s| s.push_arg("members", n.to_string()));
+        let out = async {
+            // One serialization pass covers every in-band member payload
+            // (object refs travel as part of the frame itself).
+            let t0 = now();
+            let in_band: u64 = calls
+                .iter()
+                .map(|c| match &c.input {
+                    Input::Value(v) => v.wire_bytes(),
+                    Input::Ref(_) => 0,
+                })
+                .sum();
+            if in_band > 0 {
+                sleep(client.serialization.time(in_band)).await;
+            }
+            root.record(&client.track, "serialize", t0);
 
-        // One serialization pass covers every in-band member payload
-        // (object refs travel as part of the frame itself).
-        let t0 = now();
-        let in_band: u64 = calls
-            .iter()
-            .filter(|c| c.object.is_none())
-            .map(|c| c.input.wire_bytes())
-            .sum();
-        if in_band > 0 {
-            sleep(client.serialization.time(in_band)).await;
-        }
-        if let (Some(t), Some(root)) = (&tracer, &root) {
-            t.record(&track, "serialize", t0, now(), Some(root.id()), vec![]);
-        }
-
-        let reqs: Vec<Request> = calls
-            .into_iter()
-            .map(|c| {
-                let seq = client.next_seq;
-                client.next_seq += 1;
-                Request {
-                    id: (client.id << 32) | (seq & 0xffff_ffff),
-                    kernel: c.kernel,
-                    data: match c.object {
-                        Some(r) => DataRef::Object(r),
-                        None => DataRef::InBand(c.input),
-                    },
-                    tenant: c.tenant.or_else(|| client.tenant.clone()),
-                    deadline: c.deadline.map(|d| now() + d),
-                    // Members carry no span parent: they execute
-                    // concurrently server-side, and concurrent siblings
-                    // under one parent would break the trace tiling
-                    // contract. The batch records its own client-side
-                    // span tree instead.
-                    span: None,
-                    reply_out_of_band: false,
-                    reply_to_store: false,
-                }
-            })
-            .collect();
-
-        let t1 = now();
-        let rt_span = root.as_ref().map(|r| r.id());
-        let resps = match rt_timeout {
-            Some(d) => match timeout(d, client.batch_roundtrip(reqs, rt_span)).await {
-                Ok(resps) => resps,
-                Err(_) => {
-                    // The frame (or its reply) is lost past the
-                    // deadline: the members failed individually.
-                    if let (Some(t), Some(root)) = (&tracer, &root) {
-                        t.record(&track, "roundtrip", t1, now(), Some(root.id()), vec![]);
-                    }
-                    if let Some(root) = root.take() {
-                        root.finish();
-                    }
+            // Members carry no span parent: they execute concurrently
+            // server-side, and concurrent siblings under one parent would
+            // break the trace tiling contract. The batch records its own
+            // client-side span tree instead.
+            let reply = client
+                .exchange(&root, timeout, |client, _| {
+                    let reqs = calls
+                        .into_iter()
+                        .map(|c| {
+                            let data = match c.input {
+                                Input::Value(v) => DataRef::InBand(v),
+                                Input::Ref(r) => DataRef::Object(r),
+                            };
+                            client.request(c.kernel, data, &c.opts, None)
+                        })
+                        .collect();
+                    (RequestFrame::Batch(reqs), None)
+                })
+                .await;
+            let resps = match reply {
+                Ok(ResponseFrame::Batch(resps)) => resps,
+                // The frame (or its reply) is lost past the deadline:
+                // the members failed individually.
+                Err(InvokeError::TimedOut) => {
                     return Ok((0..n).map(|_| Err(InvokeError::TimedOut)).collect());
                 }
-            },
-            None => client.batch_roundtrip(reqs, rt_span).await,
-        };
-        let resps = match resps {
-            Ok(resps) => resps,
-            Err(e) => {
-                if let Some(root) = root.take() {
-                    root.finish();
-                }
-                return Err(e);
-            }
-        };
-        if let (Some(t), Some(root)) = (&tracer, &root) {
-            t.record(&track, "roundtrip", t1, now(), Some(root.id()), vec![]);
-        }
+                Err(e) => return Err(e),
+                // Batch frames always get batch replies.
+                Ok(ResponseFrame::One(_)) => return Err(InvokeError::BadHandle),
+            };
 
-        // One coalesced deserialization pass over the in-band replies.
-        let t2 = now();
-        let reply_bytes: u64 = resps
-            .iter()
-            .filter_map(|r| match &r.result {
-                Ok(DataRef::InBand(v)) => Some(v.wire_bytes()),
-                _ => None,
-            })
-            .sum();
-        if reply_bytes > 0 {
-            sleep(client.serialization.time(reply_bytes)).await;
-        }
-        if let (Some(t), Some(root)) = (&tracer, &root) {
-            t.record(&track, "deserialize", t2, now(), Some(root.id()), vec![]);
-        }
-
-        let latency = now() - start;
-        let out = resps
-            .into_iter()
-            .map(|resp| {
-                let output = match resp.result? {
-                    DataRef::InBand(v) => v,
-                    // Batch members never request out-of-band replies.
-                    _ => return Err(InvokeError::BadHandle),
-                };
-                Ok(Invocation {
-                    output,
-                    report: resp.report.ok_or(InvokeError::Disconnected)?,
-                    latency,
+            // One coalesced deserialization pass over the in-band replies.
+            let t2 = now();
+            let reply_bytes: u64 = resps
+                .iter()
+                .filter_map(|r| match &r.result {
+                    Ok(DataRef::InBand(v)) => Some(v.wire_bytes()),
+                    _ => None,
                 })
-            })
-            .collect();
-        if let Some(root) = root {
-            root.finish();
+                .sum();
+            if reply_bytes > 0 {
+                sleep(client.serialization.time(reply_bytes)).await;
+            }
+            root.record(&client.track, "deserialize", t2);
+
+            let latency = now() - start;
+            Ok(resps
+                .into_iter()
+                .map(|resp| {
+                    let output = match resp.result? {
+                        DataRef::InBand(v) => v,
+                        // Batch members never request out-of-band replies.
+                        _ => return Err(InvokeError::BadHandle),
+                    };
+                    Ok(Invocation {
+                        output,
+                        report: resp.report.ok_or(InvokeError::Disconnected)?,
+                        latency,
+                    })
+                })
+                .collect())
         }
-        Ok(out)
+        .await;
+        root.finish();
+        out
     }
 }

@@ -37,6 +37,7 @@ use kaas_simtime::{now, sleep, spawn, SimTime, SpanId};
 use crate::dataplane::ObjectRef;
 use crate::metrics::InvocationReport;
 use crate::protocol::{DataRef, InvokeError, Request, Response};
+use crate::resilience::RetryGate;
 use crate::server::KaasServer;
 use crate::workflow::{StepReport, Workflow, WorkflowReport};
 
@@ -626,9 +627,7 @@ impl KaasServer {
             let span_id = span.as_ref().map(|s| s.id());
             // Each step launch is one fresh request accruing retry
             // tokens; the retries below spend them.
-            if let Some(b) = &server.inner().retry_budget {
-                b.note_fresh();
-            }
+            let gate = RetryGate::fresh(budget, server.inner().retry_budget.as_deref());
             let mut attempts = 0u32;
             let outcome = loop {
                 attempts += 1;
@@ -648,47 +647,26 @@ impl KaasServer {
                     reply_out_of_band: false,
                     reply_to_store: true,
                 };
-                match server.handle_inner(req).await {
+                let e = match server.handle_inner(req).await {
                     Ok((DataRef::InBand(v), report)) => break Ok((v, report)),
                     // `reply_to_store` replies are always in-band.
                     Ok(_) => break Err(InvokeError::BadHandle),
-                    Err(e) => {
-                        let transient = matches!(
-                            e,
-                            InvokeError::RunnerFailed(_)
-                                | InvokeError::Overloaded { .. }
-                                | InvokeError::CircuitOpen(_)
-                        );
-                        if transient && attempts < budget {
-                            // Step retries are server-generated load:
-                            // under overload they amplify the very
-                            // congestion that failed them. The shared
-                            // retry budget caps that amplification.
-                            if let Some(b) = &server.inner().retry_budget {
-                                if !b.try_spend() {
-                                    server
-                                        .inner()
-                                        .metrics_registry
-                                        .inc("retries.budget_exhausted");
-                                    break Err(e);
-                                }
-                            }
-                            // Deterministic linear backoff between
-                            // flow-level attempts — raised to the
-                            // server's own drain estimate when the
-                            // failure carried one.
-                            let mut wait = Duration::from_millis(attempts as u64);
-                            if let InvokeError::Overloaded {
-                                retry_after: Some(hint),
-                            } = &e
-                            {
-                                wait = wait.max(*hint);
-                            }
-                            sleep(wait).await;
-                            continue;
-                        }
-                        break Err(e);
-                    }
+                    Err(e) => e,
+                };
+                let transient = matches!(
+                    e,
+                    InvokeError::RunnerFailed(_)
+                        | InvokeError::Overloaded { .. }
+                        | InvokeError::CircuitOpen(_)
+                );
+                // Step retries are server-generated load: under overload
+                // they amplify the very congestion that failed them, so
+                // the shared retry budget caps them. Between attempts a
+                // deterministic linear backoff.
+                let backoff = |attempt| Duration::from_millis(u64::from(attempt));
+                let metrics = &server.inner().metrics_registry;
+                if !gate.retry(attempts, &e, transient, backoff, metrics).await {
+                    break Err(e);
                 }
             };
             if let Some(s) = span {

@@ -28,7 +28,10 @@ use std::time::Duration;
 
 use kaas_accel::{DeviceClass, DeviceId};
 use kaas_simtime::rng::stream_rng;
-use kaas_simtime::{now, SimTime};
+use kaas_simtime::{now, sleep, SimTime};
+
+use crate::metrics::registry::MetricsRegistry;
+use crate::protocol::InvokeError;
 
 /// Decides how long to wait before retry attempt `attempt` (1-based: the
 /// wait before the second try is `backoff(1, ..)`).
@@ -326,6 +329,71 @@ impl RetryBudget {
     /// Retries denied for an empty bucket.
     pub fn exhausted(&self) -> u64 {
         self.exhausted.get()
+    }
+}
+
+/// The one retry decision of client calls and flow steps. Each caller
+/// keeps its attempt loop, its retryable predicate and its backoff; the
+/// gate owns the steps in between: fresh-request accounting, the attempt
+/// cap, the budget token and the wait.
+///
+/// The server's `execute` loop in `dispatch.rs` stays separate: it
+/// retries only `RunnerFailed`, re-places on every attempt and caps
+/// backoff by elapsed time rather than by tokens.
+#[derive(Debug)]
+pub(crate) struct RetryGate<'b> {
+    max_attempts: u32,
+    budget: Option<&'b RetryBudget>,
+}
+
+impl<'b> RetryGate<'b> {
+    /// Opens the gate for one fresh request, which accrues its share of
+    /// retry tokens in `budget`.
+    pub(crate) fn fresh(max_attempts: u32, budget: Option<&'b RetryBudget>) -> Self {
+        if let Some(b) = budget {
+            b.note_fresh();
+        }
+        RetryGate {
+            max_attempts,
+            budget,
+        }
+    }
+
+    /// Decides whether failed attempt `attempt` (1-based) is retried,
+    /// and if so waits before the retry. A retry needs attempts left, a
+    /// `retryable` failure and a budget token; a denied token counts
+    /// under `retries.budget_exhausted` in `metrics`. The wait is
+    /// `backoff(attempt)` raised to the server's `retry_after` hint —
+    /// cooperative backpressure: an overloaded server names its price.
+    /// Returns `false` when the caller must give up with `err`.
+    pub(crate) async fn retry(
+        &self,
+        attempt: u32,
+        err: &InvokeError,
+        retryable: bool,
+        backoff: impl FnOnce(u32) -> Duration,
+        metrics: &MetricsRegistry,
+    ) -> bool {
+        if attempt >= self.max_attempts || !retryable {
+            return false;
+        }
+        if let Some(b) = self.budget {
+            if !b.try_spend() {
+                metrics.inc("retries.budget_exhausted");
+                return false;
+            }
+        }
+        let mut wait = backoff(attempt);
+        if let InvokeError::Overloaded {
+            retry_after: Some(hint),
+        } = err
+        {
+            wait = wait.max(*hint);
+        }
+        if !wait.is_zero() {
+            sleep(wait).await;
+        }
+        true
     }
 }
 

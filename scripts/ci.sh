@@ -88,6 +88,13 @@ cargo test -q --release -p kaas-guest --test differential
 # counters, so it must replay byte-identically run to run.
 replays_identically "verify bench diverged between two runs" -p kaas-bench --bin verify -- --quick
 
+echo "==> client stage: send-pipeline span trees + flow/ref example determinism"
+cargo test -q --release --test tracing
+# The runnable flow-over-the-wire and `send_ref` callers must replay
+# byte-identically run to run.
+replays_identically "federated_workflow example diverged between two runs" --example federated_workflow
+replays_identically "image_pipeline example diverged between two runs" --example image_pipeline
+
 echo "==> cargo build --features trace --examples"
 cargo build --release --features trace --examples
 

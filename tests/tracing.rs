@@ -6,8 +6,8 @@ use std::time::Duration;
 
 use kaas::accel::{Device, DeviceId, GpuDevice, GpuProfile};
 use kaas::core::{
-    percentile, InvokeError, KaasClient, KaasNetwork, KaasServer, KernelRegistry, ServerConfig,
-    Span, SpanSink,
+    percentile, BatchCall, InvokeError, KaasClient, KaasNetwork, KaasServer, KernelRegistry,
+    ServerConfig, Span, SpanSink, Workflow,
 };
 use kaas::kernels::{Kernel, MatMul, MonteCarlo, Value};
 use kaas::net::{LinkProfile, SharedMemory};
@@ -350,5 +350,197 @@ fn builder_covers_in_band_and_out_of_band() {
         let snap = server.snapshot();
         assert_eq!(snap.runners("matmul"), 1);
         assert_eq!(snap.in_flight("matmul"), 0);
+    });
+}
+
+/// The client-side stage children of `root` on its own track, in start
+/// order, after checking that they tile it: contiguous, no gaps, first
+/// starting with the root and last ending with it. `net_send` is the
+/// wire hop within the round trip, not a stage.
+fn tiled_children(tracer: &SpanSink, root: &Span) -> Vec<Span> {
+    let mut children: Vec<Span> = tracer
+        .children_of(root.id)
+        .into_iter()
+        .filter(|s| s.track == root.track && s.name != "net_send")
+        .collect();
+    children.sort_by_key(|s| s.start);
+    assert_eq!(children.first().unwrap().start, root.start);
+    assert_eq!(children.last().unwrap().end, root.end);
+    for pair in children.windows(2) {
+        assert_eq!(pair[0].end, pair[1].start, "children must not overlap");
+    }
+    children
+}
+
+fn names(spans: &[Span]) -> Vec<&str> {
+    spans.iter().map(|s| s.name.as_str()).collect()
+}
+
+fn only_root(tracer: &SpanSink, name: &str) -> Span {
+    let roots: Vec<Span> = tracer
+        .roots()
+        .into_iter()
+        .filter(|s| s.name == name)
+        .collect();
+    assert_eq!(roots.len(), 1, "exactly one `{name}` root");
+    roots.into_iter().next().unwrap()
+}
+
+fn arg<'s>(span: &'s Span, key: &str) -> Option<&'s str> {
+    span.args
+        .iter()
+        .find(|(k, _)| k == key)
+        .map(|(_, v)| v.as_str())
+}
+
+/// A call that fails before reaching the wire still records its root:
+/// out-of-band mode on a client without shared memory is refused with
+/// `BadHandle`, and the `invoke` root is finished all the same.
+#[test]
+fn failed_out_of_band_call_still_records_its_root() {
+    let mut sim = Simulation::new();
+    sim.block_on(async {
+        let tracer = SpanSink::new();
+        let (_s, net, _shm) = boot_traced(vec![Rc::new(MonteCarlo::default())], tracer.clone());
+        let mut client = KaasClient::connect(&net, "kaas", LinkProfile::loopback())
+            .await
+            .unwrap()
+            .with_tracer(tracer.clone());
+        let err = client
+            .call("mci")
+            .arg(Value::U64(10_000))
+            .out_of_band()
+            .send()
+            .await
+            .unwrap_err();
+        assert_eq!(err, InvokeError::BadHandle);
+        let root = only_root(&tracer, "invoke");
+        assert_eq!(arg(&root, "kernel"), Some("mci"));
+    });
+}
+
+/// A traced flow trigger records a `flow` root carrying the handle id
+/// and name, with serialize → roundtrip → deserialize children that
+/// tile the client-observed `WorkflowRun::latency`.
+#[test]
+fn traced_flow_trigger_tiles_run_latency() {
+    let mut sim = Simulation::new();
+    sim.block_on(async {
+        let tracer = SpanSink::new();
+        let (_s, net, shm) = boot_traced(vec![Rc::new(MatMul::new())], tracer.clone());
+        let mut client = traced_client(&net, shm, tracer.clone()).await;
+        let mut b = Workflow::builder("one-matmul");
+        b.step("matmul");
+        let handle = client.register_workflow(&b.build().unwrap()).await.unwrap();
+        let run = client
+            .flow(&handle)
+            .input(Value::U64(128))
+            .send()
+            .await
+            .unwrap();
+
+        let root = only_root(&tracer, "flow");
+        assert_eq!(arg(&root, "flow"), Some(handle.id().to_string().as_str()));
+        assert_eq!(arg(&root, "name"), Some("one-matmul"));
+        assert_eq!(root.duration(), run.latency, "root span IS the latency");
+        let children = tiled_children(&tracer, &root);
+        assert_eq!(names(&children), ["serialize", "roundtrip", "deserialize"]);
+        let sum: Duration = children.iter().map(Span::duration).sum();
+        assert_eq!(sum, run.latency);
+    });
+}
+
+/// A traced batch records one `batch` root with a `members` arg and the
+/// coalesced serialize → roundtrip → deserialize children.
+#[test]
+fn traced_batch_records_one_coalesced_tree() {
+    let mut sim = Simulation::new();
+    sim.block_on(async {
+        let tracer = SpanSink::new();
+        let (_s, net, shm) = boot_traced(vec![Rc::new(MonteCarlo::default())], tracer.clone());
+        let mut client = traced_client(&net, shm, tracer.clone()).await;
+        let results = client
+            .batch()
+            .call(BatchCall::new("mci").arg(Value::U64(10_000)))
+            .call(BatchCall::new("mci").arg(Value::U64(20_000)))
+            .call(BatchCall::new("mci").arg(Value::U64(30_000)))
+            .send()
+            .await
+            .unwrap();
+        assert!(results.iter().all(Result::is_ok));
+
+        let root = only_root(&tracer, "batch");
+        assert_eq!(arg(&root, "members"), Some("3"));
+        assert_eq!(root.duration(), results[0].as_ref().unwrap().latency);
+        let children = tiled_children(&tracer, &root);
+        assert_eq!(names(&children), ["serialize", "roundtrip", "deserialize"]);
+    });
+}
+
+/// A batch frame's wire hop nests under the batch's `roundtrip` span,
+/// as a single request's does: no client-side span overlaps a stage
+/// sibling under the root.
+#[test]
+fn traced_batch_wire_hop_nests_under_roundtrip() {
+    let mut sim = Simulation::new();
+    sim.block_on(async {
+        let tracer = SpanSink::new();
+        let (_s, net, shm) = boot_traced(vec![Rc::new(MonteCarlo::default())], tracer.clone());
+        let mut client = traced_client(&net, shm, tracer.clone()).await;
+        client
+            .batch()
+            .call(BatchCall::new("mci").arg(Value::U64(10_000)))
+            .send()
+            .await
+            .unwrap();
+
+        let root = only_root(&tracer, "batch");
+        let under_root: Vec<Span> = tracer
+            .children_of(root.id)
+            .into_iter()
+            .filter(|s| s.track == root.track)
+            .collect();
+        assert_eq!(
+            names(&under_root),
+            ["serialize", "roundtrip", "deserialize"]
+        );
+        let rt = &under_root[1];
+        assert!(tracer
+            .children_of(rt.id)
+            .iter()
+            .any(|s| s.name == "net_send" && s.track == root.track));
+    });
+}
+
+/// `send_ref` leaves the final output server-resident: fetching the ref
+/// yields exactly what `send` materializes for the same trigger.
+#[test]
+fn flow_send_ref_resolves_to_the_send_output() {
+    let mut sim = Simulation::new();
+    sim.block_on(async {
+        let tracer = SpanSink::new();
+        let (_s, net, shm) = boot_traced(vec![Rc::new(MatMul::new())], tracer.clone());
+        let mut client = traced_client(&net, shm, tracer.clone()).await;
+        let mut b = Workflow::builder("one-matmul");
+        b.step("matmul");
+        let handle = client.register_workflow(&b.build().unwrap()).await.unwrap();
+        let run = client
+            .flow(&handle)
+            .input(Value::U64(96))
+            .send()
+            .await
+            .unwrap();
+        let (r, report) = client
+            .flow(&handle)
+            .input(Value::U64(96))
+            .send_ref()
+            .await
+            .unwrap();
+        assert_eq!(report.steps.len(), 1);
+        assert_eq!(client.get(r).await.unwrap(), run.output);
+        assert_eq!(
+            tracer.roots().iter().filter(|s| s.name == "flow").count(),
+            2
+        );
     });
 }
