@@ -1,5 +1,6 @@
 //! Cluster-scale dispatch benchmark: the serialized router-contention
-//! knee vs. the sharded+batched engine at 10⁵+ invocations. Pass
+//! knee (the one-shard configuration) vs. the sharded+batched engine at
+//! 10⁵+ invocations. Pass
 //! `--quick` for a reduced sweep (used by CI's determinism diff) and
 //! `--dispatch=serialized|sharded` to run one side of the A/B alone.
 //! Full A/B runs also archive the series to `results/cluster.json`.

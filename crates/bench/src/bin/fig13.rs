@@ -1,6 +1,7 @@
 //! Regenerates Figure 13 of the KaaS paper. Pass `--quick` for a
 //! reduced sweep and `--dispatch=serialized|sharded` to pin the
-//! dispatch engine (default: sharded).
+//! dispatch configuration (default: sharded; `serialized` is the
+//! one-shard historical router).
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");

@@ -3,10 +3,11 @@
 //!
 //! This is the router-contention study behind the Fig. 12b caveat: the
 //! paper's prototype saturates its dispatcher near 64 000 dispatches,
-//! and our historical serialized router ([`DispatchMode::Serialized`])
-//! has the same shape — throughput climbs with client count until it
-//! knees at `1 / dispatch_overhead ≈ 28.6 k` invocations/s, then goes
-//! flat. The sharded engine plus client-side wire batching
+//! and our historical serialized router — the one-shard configuration
+//! [`serialized_baseline`] of the dispatch engine — has the same shape:
+//! throughput climbs with client count until it knees at
+//! `1 / dispatch_overhead ≈ 28.6 k` invocations/s, then goes flat. The
+//! default sharded engine plus client-side wire batching
 //! ([`KaasClient::batch`](kaas_core::KaasClient::batch)) overlaps the
 //! routing cost across per-device shard queues and amortizes the frame
 //! header, moving the knee by ≥4× on the same testbed.
@@ -17,7 +18,9 @@ use kaas_core::{BatchCall, DispatchMode, RoundRobin, RunnerConfig, ServerConfig}
 use kaas_kernels::{MonteCarlo, Value};
 use kaas_simtime::{now, spawn, Simulation};
 
-use crate::common::{deploy, experiment_server_config, v100_cluster, Figure, Series};
+use crate::common::{
+    deploy, experiment_server_config, serialized_baseline, v100_cluster, Figure, Series,
+};
 
 /// The §5.4 testbed: eight V100s.
 pub const GPUS: u32 = 8;
@@ -139,12 +142,15 @@ pub fn knee(series: &Series) -> (f64, f64) {
     (at, plateau)
 }
 
-/// The two A/B configurations the sweep compares.
-fn configurations() -> Vec<(&'static str, DispatchMode, usize)> {
-    vec![
-        ("Serialized (unbatched)", DispatchMode::Serialized, 1),
-        ("Sharded + batched", DispatchMode::default(), BATCH),
-    ]
+/// Label and wire-batch size of a dispatcher configuration: the
+/// [`serialized_baseline`] runs unbatched, anything else with wire
+/// batching.
+fn label_and_batch(mode: &DispatchMode) -> (&'static str, usize) {
+    if *mode == serialized_baseline() {
+        ("Serialized (unbatched)", 1)
+    } else {
+        ("Sharded + batched", BATCH)
+    }
 }
 
 /// Runs the load sweep for one dispatcher configuration.
@@ -171,7 +177,8 @@ pub fn run(quick: bool) -> Vec<Figure> {
     let mut fig = figure();
     let mut knees = Vec::new();
     let mut grand_total = 0u64;
-    for (label, mode, batch) in configurations() {
+    for mode in [serialized_baseline(), DispatchMode::default()] {
+        let (label, batch) = label_and_batch(&mode);
         let (series, total) = sweep(label, &mode, batch, quick);
         grand_total += total;
         knees.push((label, knee(&series)));
@@ -190,12 +197,10 @@ pub fn run(quick: bool) -> Vec<Figure> {
 }
 
 /// Runs the sweep for a single dispatcher (the bin's `--dispatch=` A/B
-/// flag): `Serialized` unbatched, anything sharded with wire batching.
+/// flag): the [`serialized_baseline`] unbatched, anything else with
+/// wire batching.
 pub fn run_mode(quick: bool, mode: DispatchMode) -> Vec<Figure> {
-    let (label, batch) = match &mode {
-        DispatchMode::Serialized => ("Serialized (unbatched)", 1),
-        DispatchMode::Sharded(_) => ("Sharded + batched", BATCH),
-    };
+    let (label, batch) = label_and_batch(&mode);
     let mut fig = figure();
     let (series, total) = sweep(label, &mode, batch, quick);
     let (at, plateau) = knee(&series);
@@ -259,8 +264,8 @@ mod tests {
 
     #[test]
     fn serialized_knees_near_the_dispatch_ceiling() {
-        let s = run_load(DispatchMode::Serialized, 64, 16, 1);
-        // The router lock admits one 35 µs critical section at a time:
+        let s = run_load(serialized_baseline(), 64, 16, 1);
+        // One shard admits one 35 µs critical section at a time:
         // 64 closed-loop clients sit well past the knee.
         assert!(
             (20_000.0..29_000.0).contains(&s.throughput),
@@ -271,7 +276,7 @@ mod tests {
 
     #[test]
     fn sharded_and_batched_breaks_the_knee() {
-        let serialized = run_load(DispatchMode::Serialized, 64, 16, 1);
+        let serialized = run_load(serialized_baseline(), 64, 16, 1);
         let sharded = run_load(DispatchMode::default(), 64, 16, 8);
         let ratio = sharded.throughput / serialized.throughput;
         assert!(

@@ -3,6 +3,7 @@
 //! a small table/series output format.
 
 use std::rc::Rc;
+use std::time::Duration;
 
 use kaas_accel::{
     CpuDevice, CpuProfile, Device, DeviceId, FpgaDevice, FpgaProfile, GpuDevice, GpuProfile,
@@ -240,13 +241,27 @@ pub fn deploy(
     Deployment { server, net, shm }
 }
 
+/// The historical serialized router, as a configuration of the one
+/// dispatch engine: a single shard behind a zero-cost front door, so
+/// every invocation pays the full dispatch overhead inside one global
+/// critical section (the Fig. 12b ≈35 µs cost — saturates near
+/// `1 / dispatch_overhead` dispatches per second). Benches run it
+/// unbatched.
+pub fn serialized_baseline() -> DispatchMode {
+    DispatchMode::Sharded(ShardConfig {
+        shards: 1,
+        front_door_overhead: Duration::ZERO,
+        ..ShardConfig::default()
+    })
+}
+
 /// Parses the dispatcher A/B flag from the process arguments:
-/// `--dispatch=serialized` selects the historical single-lock router,
+/// `--dispatch=serialized` selects the [`serialized_baseline`],
 /// `--dispatch=sharded` the default sharded engine. Returns `None` when
 /// the flag is absent so callers keep their own default.
 pub fn dispatch_mode_from_args() -> Option<DispatchMode> {
     std::env::args().find_map(|a| match a.strip_prefix("--dispatch=") {
-        Some("serialized") => Some(DispatchMode::Serialized),
+        Some("serialized") => Some(serialized_baseline()),
         Some("sharded") => Some(DispatchMode::Sharded(ShardConfig::default())),
         Some(other) => panic!("unknown --dispatch value {other:?} (expected serialized|sharded)"),
         None => None,

@@ -33,8 +33,9 @@ pub fn run_scaling(scaling: Scaling, gpus: u32, warm: bool, batches: u64) -> f64
 }
 
 /// [`run_scaling`] with an explicit dispatch engine —
-/// [`DispatchMode::Serialized`] reproduces the historical baseline
-/// exactly (the `--dispatch=serialized` CLI flag routes here).
+/// [`serialized_baseline`](crate::common::serialized_baseline)
+/// reproduces the historical router (the `--dispatch=serialized` CLI
+/// flag routes here).
 pub fn run_scaling_with(
     scaling: Scaling,
     gpus: u32,

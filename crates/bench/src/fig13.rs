@@ -154,7 +154,7 @@ pub fn run(quick: bool) -> Vec<Figure> {
 }
 
 /// [`run`] under an explicit dispatch engine
-/// (`--bin fig13 -- --dispatch=serialized` for the A/B baseline).
+/// (`--bin fig13 -- --dispatch=serialized` for the one-shard serialized baseline).
 pub fn run_with(quick: bool, mode: DispatchMode) -> Vec<Figure> {
     let (duration, ramp) = if quick { (120, 10) } else { (300, 10) };
     let samples = run_timeline_with(duration, ramp, mode);

@@ -28,25 +28,20 @@ use crate::resilience::{
 use crate::runner::RunnerConfig;
 use crate::scheduler::Scheduler;
 
-/// Which dispatch engine the server runs.
+/// The dispatch engine's configuration: a thin front door that only
+/// classifies + enqueues, and per-shard worker tasks that own
+/// placement, the cache step, retry, and the runner handoff. Shard
+/// workers are ordinary simtime tasks, so same-seed replay stays
+/// byte-identical.
 ///
-/// [`DispatchMode::Serialized`] is the historical single-lock path: one
-/// router critical section of [`ServerConfig::dispatch_overhead`] per
-/// invocation, which saturates near `1 / dispatch_overhead`
-/// dispatches/s (the paper's router-contention knee). It is kept behind
-/// this flag for A/B experiments — the `cluster` bench reproduces the
-/// knee with it.
-///
-/// [`DispatchMode::Sharded`] (the default) splits dispatch into a thin
-/// front door that only classifies + enqueues, and per-shard worker
-/// tasks that own placement, the cache step, retry, and the runner
-/// handoff. Shard workers are ordinary simtime tasks, so same-seed
-/// replay stays byte-identical.
+/// The paper's historical single-lock router is a configuration of
+/// this engine, not a second one: one shard with a zero-cost front door
+/// pays one [`ServerConfig::dispatch_overhead`] critical section per
+/// invocation and saturates near `1 / dispatch_overhead` dispatches/s
+/// (the router-contention knee the `cluster` bench reproduces).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DispatchMode {
-    /// The historical serialized dispatcher (one global router lock).
-    Serialized,
-    /// The sharded dispatcher: front door + per-shard worker queues.
+    /// Front door + per-shard worker queues.
     Sharded(ShardConfig),
 }
 
@@ -56,34 +51,20 @@ impl Default for DispatchMode {
     }
 }
 
-impl DispatchMode {
-    /// Short stable name, used by benches and logs (`serialized` /
-    /// `sharded`).
-    pub fn name(&self) -> &'static str {
-        match self {
-            DispatchMode::Serialized => "serialized",
-            DispatchMode::Sharded(_) => "sharded",
-        }
-    }
-}
-
-/// Tuning for [`DispatchMode::Sharded`].
+/// Tuning for [`DispatchMode::Sharded`]. Requests rotate through the
+/// shards round-robin in arrival order: perfectly balanced under
+/// uniform load, and single-kernel workloads still spread across all
+/// shards.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardConfig {
     /// Number of dispatch shards; `0` (the default) means one shard per
     /// device, keeping shard queues device-local so residency-aware
     /// placement stays cheap.
     pub shards: usize,
-    /// How requests map onto shards.
-    pub policy: ShardPolicy,
     /// Cost of the front-door classify + enqueue step. This is the only
     /// serialized per-invocation work left; the default 2 µs moves the
     /// saturation ceiling from `1/35 µs ≈ 28.6 k/s` to `500 k/s`.
     pub front_door_overhead: Duration,
-    /// Seed for shard-choice tie-breaks ([`ShardPolicy::LeastLoaded`])
-    /// and hash mixing ([`ShardPolicy::KernelAffinity`]); part of the
-    /// deterministic-replay contract.
-    pub seed: u64,
     /// Bound on each shard queue's depth. A full queue sheds new work
     /// at enqueue with [`InvokeError::Overloaded`][crate::InvokeError]
     /// (carrying a drain-time `retry_after` hint), and expired work is
@@ -96,9 +77,7 @@ impl Default for ShardConfig {
     fn default() -> Self {
         ShardConfig {
             shards: 0,
-            policy: ShardPolicy::RoundRobin,
             front_door_overhead: Duration::from_micros(2),
-            seed: 0,
             queue_cap: None,
         }
     }
@@ -112,45 +91,16 @@ impl ShardConfig {
     }
 }
 
-/// Shard-selection policy for [`DispatchMode::Sharded`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ShardPolicy {
-    /// Rotate through shards in request order (the default: perfectly
-    /// balanced under uniform load, and single-kernel workloads still
-    /// spread across all shards).
-    #[default]
-    RoundRobin,
-    /// Route by FNV-1a hash of the kernel name (mixed with the seed):
-    /// one kernel's requests always land on one shard, which keeps its
-    /// placement decisions and device-cache state on a single queue.
-    KernelAffinity,
-    /// Route to the shallowest queue; ties broken by the seeded RNG.
-    LeastLoaded,
-}
-
-impl ShardPolicy {
-    /// Short stable name (`round-robin` / `kernel-affinity` /
-    /// `least-loaded`).
-    pub fn name(&self) -> &'static str {
-        match self {
-            ShardPolicy::RoundRobin => "round-robin",
-            ShardPolicy::KernelAffinity => "kernel-affinity",
-            ShardPolicy::LeastLoaded => "least-loaded",
-        }
-    }
-}
-
 /// Server tuning knobs.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Per-invocation routing cost on the server CPU (calibrated to the
-    /// Fig. 12b weak-scaling offset: ≈ 35 µs/invocation). Under
-    /// [`DispatchMode::Serialized`] this is the global router critical
-    /// section; under [`DispatchMode::Sharded`] each shard worker pays
-    /// it per invocation, so shards overlap it.
+    /// Fig. 12b weak-scaling offset: ≈ 35 µs/invocation). Each shard
+    /// worker pays it per invocation, so shards overlap it; with one
+    /// shard it is the global router critical section.
     pub dispatch_overhead: Duration,
-    /// Dispatch engine selection (default: sharded; see
-    /// [`DispatchMode`] for the A/B story).
+    /// Dispatch engine tuning (default: one shard per device behind a
+    /// 2 µs front door; see [`DispatchMode`]).
     pub dispatch: DispatchMode,
     /// Runner settings.
     pub runner: RunnerConfig,
@@ -216,9 +166,7 @@ impl ServerConfig {
         self
     }
 
-    /// Selects the dispatch engine: [`DispatchMode::Serialized`] for
-    /// the historical single-lock router (the A/B baseline), or
-    /// [`DispatchMode::Sharded`] with explicit [`ShardConfig`] tuning.
+    /// Sets the dispatch engine's [`ShardConfig`] tuning.
     pub fn with_dispatch(mut self, dispatch: DispatchMode) -> Self {
         self.dispatch = dispatch;
         self
@@ -347,19 +295,10 @@ mod tests {
     fn default_matches_the_paper_setup() {
         let c = ServerConfig::default();
         assert_eq!(c.dispatch_overhead, Duration::from_micros(35));
-        // Sharded dispatch is the default; one shard per device,
-        // round-robin, 2 µs front door.
-        assert_eq!(c.dispatch.name(), "sharded");
-        match &c.dispatch {
-            DispatchMode::Sharded(s) => {
-                assert_eq!(s.shards, 0, "0 = one shard per device");
-                assert_eq!(s.policy, ShardPolicy::RoundRobin);
-                assert_eq!(s.front_door_overhead, Duration::from_micros(2));
-                assert_eq!(s.seed, 0);
-            }
-            DispatchMode::Serialized => unreachable!(),
-        }
-        assert_eq!(DispatchMode::Serialized.name(), "serialized");
+        // One shard per device behind a 2 µs front door.
+        let DispatchMode::Sharded(s) = &c.dispatch;
+        assert_eq!(s.shards, 0, "0 = one shard per device");
+        assert_eq!(s.front_door_overhead, Duration::from_micros(2));
         assert_eq!(c.scheduler.name(), "fill-first");
         assert_eq!(c.autoscaler.name(), "in-flight-threshold");
         assert_eq!(c.admission, AdmissionConfig::default());

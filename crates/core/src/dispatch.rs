@@ -1,24 +1,25 @@
 //! The per-invocation data path: admission → dispatch (front door +
-//! shard queues, or the serialized A/B baseline) → placement
-//! (scheduler + autoscaler) → execution with retry.
+//! shard queues) → placement (scheduler + autoscaler) → execution with
+//! retry.
 //!
 //! Split from [`server`](crate::server) so the orchestration skeleton
 //! (lifecycle, accept loop, accessors) stays separate from the hot
 //! path every request walks.
 //!
-//! ## Dispatch engines
+//! ## The dispatch engine
 //!
-//! Under [`DispatchMode::Sharded`] (the default) the front door only
-//! admits, parses, and enqueues — a short serialized section of
-//! [`ShardConfig::front_door_overhead`] — then hands the job to one of
-//! several per-shard worker tasks. Each worker serializes the full
+//! The front door only admits, parses, and enqueues — a short
+//! serialized section of [`ShardConfig::front_door_overhead`] — then
+//! hands the job to the next per-shard worker task in round-robin
+//! order. Each worker serializes the full
 //! [`dispatch_overhead`](crate::ServerConfig::dispatch_overhead) for
 //! its own queue but overlaps it with every other shard, so aggregate
 //! dispatch throughput scales with the shard count. Workers are
-//! ordinary simtime tasks and every tie-break is seeded, so same-seed
-//! replay stays byte-identical. [`DispatchMode::Serialized`] keeps the
-//! historical single-lock router for A/B experiments (the `cluster`
-//! bench reproduces the paper's router-contention knee with it).
+//! ordinary simtime tasks and the shard rule is a plain cursor, so
+//! same-seed replay stays byte-identical. The paper's historical
+//! single-lock router is the one-shard, zero-cost-front-door
+//! configuration of this engine (the `cluster` bench reproduces the
+//! router-contention knee with it).
 //!
 //! When a tracer is configured ([`ServerConfig::with_tracer`]
 //! (crate::ServerConfig::with_tracer)) the hot path records a span per
@@ -30,20 +31,19 @@
 //! (crate::MetricsRegistry): counters (`invocations`, `cold_starts`,
 //! `errors.*`), latency histograms, and level gauges.
 
-use std::cell::{Cell, RefCell};
+use std::cell::Cell;
 use std::rc::Rc;
 use std::time::Duration;
 
 use kaas_accel::{DeviceClass, DeviceId};
 use kaas_kernels::{Kernel, Value};
 use kaas_simtime::channel::{self, OneshotSender, Receiver};
-use kaas_simtime::rng::DetRng;
 use kaas_simtime::sync::Semaphore;
 use kaas_simtime::{now, sleep, spawn, SimTime};
 
 use crate::admission::AdmissionPermit;
 use crate::autoscaler::{ScaleCtx, ScaleDecision};
-use crate::config::{DispatchMode, ServerConfig, ShardConfig, ShardPolicy};
+use crate::config::{DispatchMode, ServerConfig, ShardConfig};
 use crate::dataplane::{ObjectRef, DATA_KERNEL_PREFIX};
 use crate::guest::CODE_KERNEL_PREFIX;
 use crate::metrics::{InvocationReport, RunnerId};
@@ -54,8 +54,7 @@ use crate::scheduler::SchedCtx;
 use crate::server::{KaasServer, DISCOVERY_KERNEL};
 
 /// An admitted, parsed invocation: everything the execution pipeline
-/// needs, carried from the front door to wherever it runs (inline under
-/// the serialized engine, a shard worker under the sharded one).
+/// needs, carried from the front door to the shard worker that runs it.
 pub(crate) struct ExecJob {
     req: Request,
     kernel: Rc<dyn Kernel>,
@@ -87,181 +86,81 @@ pub(crate) struct ShardQueue {
     depth: Rc<Cell<usize>>,
     /// Requests this shard shed (over-cap at enqueue) or ejected
     /// (deadline passed while queued). Shared with the worker task; the
-    /// sanitizer checks the per-shard sum equals the global tally and
-    /// the `dispatch.ejected` counter — shedding is never silent.
+    /// sanitizer checks the sum over shards equals the
+    /// `dispatch.ejected` counter — shedding is never silent.
     ejected: Rc<Cell<u64>>,
 }
 
-/// The server's dispatch engine, built from
+/// The server's dispatch engine — a thin front door plus per-shard
+/// worker queues — built from
 /// [`ServerConfig::dispatch`](crate::ServerConfig) at construction.
-pub(crate) enum DispatchState {
-    /// One global router lock; every invocation pays
-    /// `dispatch_overhead` inside it (the historical A/B baseline).
-    Serialized { lock: Semaphore },
-    /// Thin front door + per-shard worker queues.
-    Sharded {
-        front_lock: Semaphore,
-        config: ShardConfig,
-        shards: Vec<ShardQueue>,
-        /// Jobs currently queued across all shards; the sanitizer
-        /// checks it equals the sum of per-shard depths every step.
-        queued: Rc<Cell<usize>>,
-        /// Round-robin cursor ([`ShardPolicy::RoundRobin`]).
-        rr: Cell<usize>,
-        /// Seeded tie-break stream ([`ShardPolicy::LeastLoaded`]).
-        rng: RefCell<DetRng>,
-        /// Total requests shed or ejected across all shards.
-        ejected_total: Rc<Cell<u64>>,
-    },
+/// Queue and ejection totals are sums over the shard cells, so they
+/// agree with the per-shard views by construction.
+pub(crate) struct DispatchState {
+    front_lock: Semaphore,
+    config: ShardConfig,
+    shards: Vec<ShardQueue>,
+    /// Round-robin cursor: the shard the next request lands on.
+    rr: Cell<usize>,
 }
 
 impl DispatchState {
-    /// Builds the engine selected by `config.dispatch` for a fleet of
-    /// `devices` devices. Shard workers are ordinary simtime tasks,
-    /// spawned only when an executor is running (the same guard as the
-    /// sanitizer hook in [`KaasServer::new`]); outside a simulation the
-    /// queues exist but nothing drains them.
+    /// Builds the engine for a fleet of `devices` devices. Shard
+    /// workers are ordinary simtime tasks, spawned only when an
+    /// executor is running (the same guard as the sanitizer hook in
+    /// [`KaasServer::new`]); outside a simulation the queues exist but
+    /// nothing drains them.
     pub(crate) fn new(config: &ServerConfig, devices: usize) -> Self {
-        match &config.dispatch {
-            DispatchMode::Serialized => DispatchState::Serialized {
-                lock: Semaphore::new(1),
-            },
-            DispatchMode::Sharded(sc) => {
-                let n = if sc.shards == 0 {
-                    devices.max(1)
-                } else {
-                    sc.shards
-                };
-                let queued = Rc::new(Cell::new(0usize));
-                let ejected_total = Rc::new(Cell::new(0u64));
-                let mut shards = Vec::with_capacity(n);
-                for shard in 0..n {
-                    let (tx, rx) = channel::unbounded();
-                    let depth = Rc::new(Cell::new(0usize));
-                    let ejected = Rc::new(Cell::new(0u64));
-                    if kaas_simtime::Handle::try_current().is_some() {
-                        spawn(shard_worker(
-                            shard,
-                            rx,
-                            Rc::clone(&depth),
-                            Rc::clone(&queued),
-                            Rc::clone(&ejected),
-                            Rc::clone(&ejected_total),
-                            config.dispatch_overhead,
-                            sc.queue_cap.is_some(),
-                        ));
-                    }
-                    shards.push(ShardQueue { tx, depth, ejected });
+        let DispatchMode::Sharded(sc) = &config.dispatch;
+        let n = if sc.shards == 0 {
+            devices.max(1)
+        } else {
+            sc.shards
+        };
+        let shards = (0..n)
+            .map(|shard| {
+                let (tx, rx) = channel::unbounded();
+                let depth = Rc::new(Cell::new(0usize));
+                let ejected = Rc::new(Cell::new(0u64));
+                if kaas_simtime::Handle::try_current().is_some() {
+                    spawn(shard_worker(
+                        shard,
+                        rx,
+                        Rc::clone(&depth),
+                        Rc::clone(&ejected),
+                        config.dispatch_overhead,
+                        sc.queue_cap.is_some(),
+                    ));
                 }
-                DispatchState::Sharded {
-                    front_lock: Semaphore::new(1),
-                    config: sc.clone(),
-                    shards,
-                    queued,
-                    rr: Cell::new(0),
-                    rng: RefCell::new(DetRng::seed_from_u64(sc.seed)),
-                    ejected_total,
-                }
-            }
+                ShardQueue { tx, depth, ejected }
+            })
+            .collect();
+        DispatchState {
+            front_lock: Semaphore::new(1),
+            config: sc.clone(),
+            shards,
+            rr: Cell::new(0),
         }
     }
 
-    /// Current queue depth of every shard (empty under the serialized
-    /// engine).
+    /// Current queue depth of every shard.
     pub(crate) fn shard_depths(&self) -> Vec<usize> {
-        match self {
-            DispatchState::Serialized { .. } => Vec::new(),
-            DispatchState::Sharded { shards, .. } => shards.iter().map(|s| s.depth.get()).collect(),
-        }
+        self.shards.iter().map(|s| s.depth.get()).collect()
     }
 
     /// Total dispatch jobs queued across all shards.
     pub(crate) fn queued(&self) -> usize {
-        match self {
-            DispatchState::Serialized { .. } => 0,
-            DispatchState::Sharded { queued, .. } => queued.get(),
-        }
+        self.shards.iter().map(|s| s.depth.get()).sum()
     }
 
-    /// Requests each shard has shed or ejected (empty under the
-    /// serialized engine).
+    /// Requests each shard has shed or ejected.
     pub(crate) fn shard_ejected(&self) -> Vec<u64> {
-        match self {
-            DispatchState::Serialized { .. } => Vec::new(),
-            DispatchState::Sharded { shards, .. } => {
-                shards.iter().map(|s| s.ejected.get()).collect()
-            }
-        }
+        self.shards.iter().map(|s| s.ejected.get()).collect()
     }
 
     /// Total requests shed or ejected across all shards.
     pub(crate) fn ejected(&self) -> u64 {
-        match self {
-            DispatchState::Serialized { .. } => 0,
-            DispatchState::Sharded { ejected_total, .. } => ejected_total.get(),
-        }
-    }
-
-    /// Number of shard queues (1 under the serialized engine).
-    pub(crate) fn shard_count(&self) -> usize {
-        match self {
-            DispatchState::Serialized { .. } => 1,
-            DispatchState::Sharded { shards, .. } => shards.len(),
-        }
-    }
-
-    /// Chooses the shard for a request. Every source of choice is
-    /// deterministic: the round-robin cursor, an FNV-1a hash, or the
-    /// seeded tie-break stream — cross-shard ordering replays exactly.
-    fn pick_shard(&self, kernel: &str) -> usize {
-        match self {
-            DispatchState::Serialized { .. } => 0,
-            DispatchState::Sharded {
-                config,
-                shards,
-                rr,
-                rng,
-                ..
-            } => {
-                let n = shards.len();
-                match config.policy {
-                    ShardPolicy::RoundRobin => {
-                        let i = rr.get();
-                        rr.set((i + 1) % n);
-                        i
-                    }
-                    ShardPolicy::KernelAffinity => {
-                        // FNV-1a over the kernel name, seed-mixed into
-                        // the offset basis so deployments can re-map
-                        // kernels to shards without renaming them.
-                        let mut h: u64 = 0xcbf2_9ce4_8422_2325 ^ config.seed;
-                        for b in kernel.bytes() {
-                            h ^= b as u64;
-                            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-                        }
-                        (h % n as u64) as usize
-                    }
-                    ShardPolicy::LeastLoaded => {
-                        let min = shards
-                            .iter()
-                            .map(|s| s.depth.get())
-                            .min()
-                            .expect("at least one shard");
-                        let tied: Vec<usize> = shards
-                            .iter()
-                            .enumerate()
-                            .filter(|(_, s)| s.depth.get() == min)
-                            .map(|(i, _)| i)
-                            .collect();
-                        if tied.len() == 1 {
-                            tied[0]
-                        } else {
-                            tied[rng.borrow_mut().gen_range(0..tied.len())]
-                        }
-                    }
-                }
-            }
-        }
+        self.shards.iter().map(|s| s.ejected.get()).sum()
     }
 }
 
@@ -269,14 +168,11 @@ impl DispatchState {
 /// cost, then hand execution to a fresh task so long-running kernels
 /// never block the queue behind them. Exits when the server drops its
 /// sending halves.
-#[allow(clippy::too_many_arguments)]
 async fn shard_worker(
     shard: usize,
     mut rx: Receiver<DispatchJob>,
     depth: Rc<Cell<usize>>,
-    queued: Rc<Cell<usize>>,
     ejected: Rc<Cell<u64>>,
-    ejected_total: Rc<Cell<u64>>,
     overhead: Duration,
     eject_expired: bool,
 ) {
@@ -288,10 +184,7 @@ async fn shard_worker(
         reply,
     }) = rx.recv().await
     {
-        // Paired decrements with no await in between keep
-        // `sum(depths) == queued` at every executor step boundary.
         depth.set(depth.get() - 1);
-        queued.set(queued.get() - 1);
         server.inner().metrics_registry.set_gauge_fmt(
             format_args!("dispatch.shard.{shard}.depth"),
             depth.get() as f64,
@@ -308,7 +201,6 @@ async fn shard_worker(
             // the waste that sustains a metastable failure.
             if eject_expired && job.req.deadline.is_some_and(|d| now() > d) {
                 ejected.set(ejected.get() + 1);
-                ejected_total.set(ejected_total.get() + 1);
                 m.inc("dispatch.ejected");
                 m.inc_fmt(format_args!("dispatch.shard.{shard}.ejected"));
                 let _ = reply.send(Err(InvokeError::DeadlineExceeded));
@@ -417,7 +309,7 @@ impl KaasServer {
                 // estimate of when the backlog will have drained, so
                 // well-behaved clients retry after it instead of
                 // hammering a saturated server.
-                let backlog = inner.dispatch.queued() / inner.dispatch.shard_count().max(1);
+                let backlog = inner.dispatch.queued() / inner.dispatch.shards.len();
                 return Err(InvokeError::Overloaded {
                     retry_after: Some(self.retry_after_hint(backlog)),
                 });
@@ -462,89 +354,61 @@ impl KaasServer {
             submitted,
         };
         let t_dispatch = now();
-        match &inner.dispatch {
-            // The A/B baseline: the router runs on one server thread,
-            // so every invocation pays the full dispatch overhead inside
-            // one global critical section (the Fig. 12b ≈35 µs cost —
-            // saturates near 1/overhead dispatches per second).
-            DispatchState::Serialized { lock } => {
-                {
-                    let _router = lock.acquire(1).await;
-                    sleep(inner.config.dispatch_overhead).await;
-                }
-                span("dispatch", t_dispatch, now());
-                self.execute(job).await
-            }
-            // Sharded: the front door only classifies + enqueues;
-            // placement, the cache step, retry, and the runner handoff
-            // all happen on the chosen shard's worker task.
-            DispatchState::Sharded {
-                front_lock,
-                config,
-                shards,
-                queued,
-                ejected_total,
-                ..
-            } => {
-                {
-                    let _front = front_lock.acquire(1).await;
-                    sleep(config.front_door_overhead).await;
-                }
-                let m = &inner.metrics_registry;
-                m.observe(
-                    "dispatch.front_door_ns",
-                    (now() - t_dispatch).as_nanos() as f64,
-                );
-                let shard = inner.dispatch.pick_shard(&job.req.kernel);
-                let q = &shards[shard];
-                // Enqueue-time shedding: dead or over-cap work never
-                // enters the queue, so it cannot crowd out live
-                // requests or consume a worker's routing cost. Every
-                // shed is counted — never silent.
-                let eject = |err: InvokeError| {
-                    q.ejected.set(q.ejected.get() + 1);
-                    ejected_total.set(ejected_total.get() + 1);
-                    m.inc("dispatch.ejected");
-                    m.inc_fmt(format_args!("dispatch.shard.{shard}.ejected"));
-                    err
-                };
-                if job.req.deadline.is_some_and(|d| now() > d) {
-                    return Err(eject(InvokeError::DeadlineExceeded));
-                }
-                if config.queue_cap.is_some_and(|cap| q.depth.get() >= cap) {
-                    let hint = self.retry_after_hint(q.depth.get());
-                    return Err(eject(InvokeError::Overloaded {
-                        retry_after: Some(hint),
-                    }));
-                }
-                // Paired increments with no await in between: the
-                // sanitizer checks `sum(depths) == queued` after every
-                // executor step.
-                q.depth.set(q.depth.get() + 1);
-                queued.set(queued.get() + 1);
-                m.set_gauge_fmt(
-                    format_args!("dispatch.shard.{shard}.depth"),
-                    q.depth.get() as f64,
-                );
-                let (reply_tx, reply_rx) = channel::oneshot();
-                let dj = DispatchJob {
-                    server: self.clone(),
-                    job,
-                    t_dispatch,
-                    enqueued: now(),
-                    reply: reply_tx,
-                };
-                if q.tx.send(dj).await.is_err() {
-                    // No worker drains this queue (the server was built
-                    // outside a running simulation): undo the enqueue
-                    // accounting and report the path unavailable.
-                    q.depth.set(q.depth.get() - 1);
-                    queued.set(queued.get() - 1);
-                    return Err(InvokeError::Disconnected);
-                }
-                reply_rx.await.map_err(|_| InvokeError::Disconnected)?
-            }
+        // The front door only classifies + enqueues; placement, the
+        // cache step, retry, and the runner handoff all happen on the
+        // chosen shard's worker task.
+        let d = &inner.dispatch;
+        {
+            let _front = d.front_lock.acquire(1).await;
+            sleep(d.config.front_door_overhead).await;
         }
+        let m = &inner.metrics_registry;
+        m.observe(
+            "dispatch.front_door_ns",
+            (now() - t_dispatch).as_nanos() as f64,
+        );
+        let shard = d.rr.get();
+        d.rr.set((shard + 1) % d.shards.len());
+        let q = &d.shards[shard];
+        // Enqueue-time shedding: dead or over-cap work never enters the
+        // queue, so it cannot crowd out live requests or consume a
+        // worker's routing cost. Every shed is counted — never silent.
+        let eject = |err: InvokeError| {
+            q.ejected.set(q.ejected.get() + 1);
+            m.inc("dispatch.ejected");
+            m.inc_fmt(format_args!("dispatch.shard.{shard}.ejected"));
+            err
+        };
+        if job.req.deadline.is_some_and(|d| now() > d) {
+            return Err(eject(InvokeError::DeadlineExceeded));
+        }
+        if d.config.queue_cap.is_some_and(|cap| q.depth.get() >= cap) {
+            let hint = self.retry_after_hint(q.depth.get());
+            return Err(eject(InvokeError::Overloaded {
+                retry_after: Some(hint),
+            }));
+        }
+        q.depth.set(q.depth.get() + 1);
+        m.set_gauge_fmt(
+            format_args!("dispatch.shard.{shard}.depth"),
+            q.depth.get() as f64,
+        );
+        let (reply_tx, reply_rx) = channel::oneshot();
+        let dj = DispatchJob {
+            server: self.clone(),
+            job,
+            t_dispatch,
+            enqueued: now(),
+            reply: reply_tx,
+        };
+        if q.tx.send(dj).await.is_err() {
+            // No worker drains this queue (the server was built outside
+            // a running simulation): undo the enqueue and report the
+            // path unavailable.
+            q.depth.set(q.depth.get() - 1);
+            return Err(InvokeError::Disconnected);
+        }
+        reply_rx.await.map_err(|_| InvokeError::Disconnected)?
     }
 
     /// The deterministic drain-time estimate attached to `Overloaded`
@@ -561,9 +425,8 @@ impl KaasServer {
 
     /// The execution pipeline one admitted job walks — input
     /// materialization, deadline shedding, placement + cache step +
-    /// retry, report/metrics recording, and reply shaping. Runs inline
-    /// under the serialized engine and on a spawned task per job under
-    /// the sharded one.
+    /// retry, report/metrics recording, and reply shaping. Runs on a
+    /// spawned task per job, handed off by the shard worker.
     pub(crate) async fn execute(
         &self,
         job: ExecJob,
@@ -584,32 +447,14 @@ impl KaasServer {
         };
 
         // Materialize the input.
-        let oob = matches!(req.data, DataRef::OutOfBand(_)) || req.reply_out_of_band;
+        let oob = req.replies_out_of_band();
         let object = match &req.data {
             DataRef::Object(r) => Some(*r),
             _ => None,
         };
         let t_input = now();
-        let input = match req.data {
-            DataRef::InBand(v) => {
-                // Runner-side deserialization of the in-band payload.
-                sleep(inner.config.serialization.time(v.wire_bytes())).await;
-                span("deserialize", t_input, now());
-                v
-            }
-            DataRef::OutOfBand(h) => {
-                let v = inner.shm.take(h).await.ok_or(InvokeError::BadHandle)?;
-                span("shm_take", t_input, now());
-                v
-            }
-            DataRef::Object(r) => {
-                // A content address resolves against the host object
-                // store — no deserialization at all.
-                let v = inner.dataplane.resolve(&r).ok_or(InvokeError::BadHandle)?;
-                span("ref_resolve", t_input, now());
-                v
-            }
-        };
+        let (input, hop) = self.take_input(req.data).await?;
+        span(hop, t_input, now());
         let enveloped = matches!(input, Value::Sized { .. });
         // Only sealed (immutable) objects may be cached in device
         // memory; an unsealed ref still resolves but re-uploads every
@@ -862,17 +707,52 @@ impl KaasServer {
         if req.reply_to_store {
             return Ok((DataRef::InBand(output), report));
         }
-        // Return the output the same way the input came in.
         let t_reply = now();
-        let data = if oob {
+        let data = self.shape_reply(output, oob).await;
+        span("reply", t_reply, now());
+        Ok((data, report))
+    }
+
+    /// The server half of every request's input transport: turns the
+    /// request's data into a value by deserializing an in-band payload,
+    /// taking an out-of-band one from shared memory, or resolving a
+    /// content address against the object store (no deserialization at
+    /// all). A handle or ref that does not resolve is
+    /// [`InvokeError::BadHandle`]. Also returns the name of the hop, for
+    /// callers that record it as a span.
+    pub(crate) async fn take_input(
+        &self,
+        data: DataRef,
+    ) -> Result<(Value, &'static str), InvokeError> {
+        let inner = self.inner();
+        match data {
+            DataRef::InBand(v) => {
+                sleep(inner.config.serialization.time(v.wire_bytes())).await;
+                Ok((v, "deserialize"))
+            }
+            DataRef::OutOfBand(h) => {
+                let v = inner.shm.take(h).await.ok_or(InvokeError::BadHandle)?;
+                Ok((v, "shm_take"))
+            }
+            DataRef::Object(r) => {
+                let v = inner.dataplane.resolve(&r).ok_or(InvokeError::BadHandle)?;
+                Ok((v, "ref_resolve"))
+            }
+        }
+    }
+
+    /// The server half of every reply's transport: a memcpy through
+    /// shared memory when `oob` (see [`Request::replies_out_of_band`]),
+    /// serialization in-band otherwise.
+    pub(crate) async fn shape_reply(&self, output: Value, oob: bool) -> DataRef {
+        let inner = self.inner();
+        if oob {
             let bytes = output.wire_bytes();
             DataRef::OutOfBand(inner.shm.put(output, bytes).await)
         } else {
             sleep(inner.config.serialization.time(output.wire_bytes())).await;
             DataRef::InBand(output)
-        };
-        span("reply", t_reply, now());
-        Ok((data, report))
+        }
     }
 
     /// Feeds one successful invocation into the structured registry:
@@ -1104,15 +984,8 @@ impl KaasServer {
     /// out-of-band: the fast path for large objects).
     async fn dataplane_op(&self, req: Request) -> Result<(DataRef, InvocationReport), InvokeError> {
         let inner = self.inner();
-        let oob = matches!(req.data, DataRef::OutOfBand(_)) || req.reply_out_of_band;
-        let input = match req.data {
-            DataRef::InBand(v) => {
-                sleep(inner.config.serialization.time(v.wire_bytes())).await;
-                v
-            }
-            DataRef::OutOfBand(h) => inner.shm.take(h).await.ok_or(InvokeError::BadHandle)?,
-            DataRef::Object(r) => inner.dataplane.resolve(&r).ok_or(InvokeError::BadHandle)?,
-        };
+        let oob = req.replies_out_of_band();
+        let (input, _) = self.take_input(req.data).await?;
         let dp = &inner.dataplane;
         let m = &inner.metrics_registry;
         let parse_ref = |v: &Value| {
@@ -1149,13 +1022,6 @@ impl KaasServer {
             _ => return Err(InvokeError::UnknownKernel(req.kernel.clone())),
         };
         let report = self.control_report(&req.kernel);
-        let data = if oob {
-            let bytes = output.wire_bytes();
-            DataRef::OutOfBand(inner.shm.put(output, bytes).await)
-        } else {
-            sleep(inner.config.serialization.time(output.wire_bytes())).await;
-            DataRef::InBand(output)
-        };
-        Ok((data, report))
+        Ok((self.shape_reply(output, oob).await, report))
     }
 }

@@ -32,7 +32,7 @@ use std::time::Duration;
 
 use kaas_kernels::Value;
 use kaas_simtime::channel::{self, Sender};
-use kaas_simtime::{now, sleep, spawn, SimTime, SpanId};
+use kaas_simtime::{now, spawn, SimTime, SpanId};
 
 use crate::dataplane::ObjectRef;
 use crate::metrics::InvocationReport;
@@ -185,22 +185,8 @@ impl KaasServer {
         (InvokeError, Option<WorkflowReport>),
     > {
         let inner = self.inner();
-        let oob = matches!(req.data, DataRef::OutOfBand(_)) || req.reply_out_of_band;
-        let input = match req.data {
-            DataRef::InBand(v) => {
-                sleep(inner.config.serialization.time(v.wire_bytes())).await;
-                v
-            }
-            DataRef::OutOfBand(h) => inner
-                .shm
-                .take(h)
-                .await
-                .ok_or((InvokeError::BadHandle, None))?,
-            DataRef::Object(r) => inner
-                .dataplane
-                .resolve(&r)
-                .ok_or((InvokeError::BadHandle, None))?,
-        };
+        let oob = req.replies_out_of_band();
+        let (input, _) = self.take_input(req.data).await.map_err(|e| (e, None))?;
         let m = &inner.metrics_registry;
         let op = req.kernel.strip_prefix(FLOW_KERNEL_PREFIX).unwrap_or("");
         match op {
@@ -219,7 +205,7 @@ impl KaasServer {
                 let flow_id = inner.flows.register(wf);
                 m.inc("workflow.registered");
                 let output = Value::U64(flow_id);
-                let data = self.shape_flow_reply(output, oob).await;
+                let data = self.shape_reply(output, oob).await;
                 Ok((data, self.control_report(FLOW_REGISTER_KERNEL), None))
             }
             "run" => {
@@ -250,7 +236,7 @@ impl KaasServer {
                                 .dataplane
                                 .resolve(&final_ref)
                                 .ok_or((InvokeError::BadHandle, Some(report.clone())))?;
-                            self.shape_flow_reply(output, oob).await
+                            self.shape_reply(output, oob).await
                         };
                         Ok((data, self.control_report(FLOW_RUN_KERNEL), Some(report)))
                     }
@@ -261,19 +247,6 @@ impl KaasServer {
                 }
             }
             _ => Err((InvokeError::UnknownKernel(req.kernel.clone()), None)),
-        }
-    }
-
-    /// Reply shaping for flow control responses: the same transport
-    /// costs as any reply (serialize in-band, memcpy through shm).
-    async fn shape_flow_reply(&self, output: Value, oob: bool) -> DataRef {
-        let inner = self.inner();
-        if oob {
-            let bytes = output.wire_bytes();
-            DataRef::OutOfBand(inner.shm.put(output, bytes).await)
-        } else {
-            sleep(inner.config.serialization.time(output.wire_bytes())).await;
-            DataRef::InBand(output)
         }
     }
 

@@ -21,7 +21,6 @@ use std::rc::Rc;
 
 use kaas_guest::{GuestKernel, GuestMeter, GuestProgram, Trap};
 use kaas_kernels::Value;
-use kaas_simtime::sleep;
 
 use crate::metrics::registry::MetricsRegistry;
 use crate::metrics::InvocationReport;
@@ -265,15 +264,8 @@ impl KaasServer {
         req: Request,
     ) -> Result<(DataRef, InvocationReport), InvokeError> {
         let inner = self.inner();
-        let oob = matches!(req.data, DataRef::OutOfBand(_)) || req.reply_out_of_band;
-        let input = match req.data {
-            DataRef::InBand(v) => {
-                sleep(inner.config.serialization.time(v.wire_bytes())).await;
-                v
-            }
-            DataRef::OutOfBand(h) => inner.shm.take(h).await.ok_or(InvokeError::BadHandle)?,
-            DataRef::Object(r) => inner.dataplane.resolve(&r).ok_or(InvokeError::BadHandle)?,
-        };
+        let oob = req.replies_out_of_band();
+        let (input, _) = self.take_input(req.data).await?;
         let m = &inner.metrics_registry;
         let text = |v: &Value, what: &str| match v.payload() {
             Value::Text(t) => Ok(t.clone()),
@@ -310,14 +302,7 @@ impl KaasServer {
             _ => return Err(InvokeError::UnknownKernel(req.kernel.clone())),
         };
         let report = self.control_report(&req.kernel);
-        let data = if oob {
-            let bytes = output.wire_bytes();
-            DataRef::OutOfBand(inner.shm.put(output, bytes).await)
-        } else {
-            sleep(inner.config.serialization.time(output.wire_bytes())).await;
-            DataRef::InBand(output)
-        };
-        Ok((data, report))
+        Ok((self.shape_reply(output, oob).await, report))
     }
 }
 

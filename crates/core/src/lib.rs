@@ -94,7 +94,7 @@ pub use baseline::{run_cpu_only, run_space_sharing, run_time_sharing, BaselineRe
 pub use client::{
     BatchBuilder, BatchCall, ClientRetryConfig, FlowBuilder, Invocation, InvokeBuilder, KaasClient,
 };
-pub use config::{DispatchMode, ServerConfig, ShardConfig, ShardPolicy};
+pub use config::{DispatchMode, ServerConfig, ShardConfig};
 pub use dataplane::{
     content_hash, DataPlane, ObjectRef, ObjectStore, DATA_GET_KERNEL, DATA_KERNEL_PREFIX,
     DATA_PIN_KERNEL, DATA_PUT_KERNEL, DATA_SEAL_KERNEL, OBJECT_REF_WIRE_BYTES,

@@ -87,6 +87,13 @@ impl Request {
     pub fn wire_bytes(&self) -> u64 {
         FRAME_BYTES + self.kernel.len() as u64 + self.data.wire_bytes()
     }
+
+    /// Whether the server returns the output through shared memory:
+    /// always for an out-of-band input, otherwise on the client's
+    /// [`reply_out_of_band`](Request::reply_out_of_band) request.
+    pub(crate) fn replies_out_of_band(&self) -> bool {
+        matches!(self.data, DataRef::OutOfBand(_)) || self.reply_out_of_band
+    }
 }
 
 /// Invocation failures reported to clients.

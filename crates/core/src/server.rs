@@ -3,10 +3,10 @@
 //!
 //! Per invocation the server (1) applies [admission](crate::admission)
 //! control, (2) passes the dispatch engine (a thin front door feeding
-//! per-shard worker queues by default, or the serialized A/B baseline
-//! — see [`DispatchMode`](crate::DispatchMode)), (3) asks the
-//! [`Scheduler`](crate::Scheduler) to place the request on a slot from
-//! the [`RunnerPool`](crate::RunnerPool), consulting the
+//! per-shard worker queues — see [`DispatchMode`](crate::DispatchMode);
+//! the paper's single-lock router is its one-shard configuration),
+//! (3) asks the [`Scheduler`](crate::Scheduler) to place the request on
+//! a slot from the [`RunnerPool`](crate::RunnerPool), consulting the
 //! [`AutoscalePolicy`](crate::AutoscalePolicy) when the fleet is cold
 //! or saturated, and (4) runs the kernel, retrying on runner failure.
 //! The data path itself lives in the `dispatch` module; this module
@@ -44,10 +44,9 @@ pub(crate) struct ServerInner {
     pub(crate) admission: AdmissionController,
     pub(crate) metrics: MetricsSink,
     pub(crate) metrics_registry: MetricsRegistry,
-    /// The dispatch engine: sharded front-door + worker queues by
-    /// default, or the historical serialized single-lock router (the
-    /// Fig. 12b weak-scaling offset of ≈35 µs per invocation) behind
-    /// [`DispatchMode::Serialized`](crate::DispatchMode).
+    /// The dispatch engine: a front door feeding per-shard worker
+    /// queues, each paying the Fig. 12b weak-scaling offset of ≈35 µs
+    /// per invocation.
     pub(crate) dispatch: DispatchState,
     /// Per-device circuit breakers (disabled unless
     /// [`ServerConfig::breaker`] is set).
@@ -361,16 +360,14 @@ pub struct ServerSnapshot {
     /// Current circuit-breaker state per device (empty when breakers are
     /// disabled or no device has been placed on yet).
     pub breakers: BTreeMap<DeviceId, BreakerState>,
-    /// Per-shard dispatch queue depths (empty under the serialized
-    /// engine). Always sums to
-    /// [`dispatch_queued`](ServerSnapshot::dispatch_queued) — an invariant the
-    /// sim-sanitizer re-checks after every executor step.
+    /// Per-shard dispatch queue depths; their sum is
+    /// [`dispatch_queued`](ServerSnapshot::dispatch_queued).
     pub shard_depths: Vec<usize>,
     /// Dispatch jobs queued across all shards right now.
     pub dispatch_queued: usize,
     /// Requests each shard has shed (over-cap at enqueue) or ejected
     /// (deadline passed while queued) so far — honest accounting for
-    /// the bounded queues; always sums to
+    /// the bounded queues; their sum is
     /// [`dispatch_ejected`](ServerSnapshot::dispatch_ejected).
     pub shard_ejected: Vec<u64>,
     /// Requests shed or ejected across all shards so far.

@@ -448,7 +448,7 @@ impl Workflow {
         let wf = Workflow {
             name: name.clone(),
             steps: parsed,
-            step_attempts: (*attempts).max(1) as u32,
+            step_attempts: u32::try_from(*attempts).ok()?.max(1),
         };
         wf.validate().ok()?;
         Some(wf)
@@ -722,6 +722,34 @@ mod tests {
             ])]),
         ]);
         assert!(Workflow::from_value(&v).is_none());
+    }
+
+    #[test]
+    fn attempts_beyond_u32_are_rejected_not_truncated() {
+        let mut b = Workflow::builder("w");
+        b.step("pre");
+        let wf = b.build().unwrap();
+        let with_attempts = |attempts: u64| {
+            let Value::List(mut items) = wf.to_value() else {
+                unreachable!("a workflow encodes as a list")
+            };
+            items[2] = Value::U64(attempts);
+            Workflow::from_value(&Value::List(items))
+        };
+        assert!(
+            with_attempts(1 << 32).is_none(),
+            "2^32 must not decode as 0"
+        );
+        assert!(
+            with_attempts((1 << 32) + 5).is_none(),
+            "2^32 + 5 must not decode as 5"
+        );
+        assert!(with_attempts(u64::MAX).is_none());
+        assert_eq!(
+            with_attempts(u32::MAX as u64).unwrap().step_attempts(),
+            u32::MAX
+        );
+        assert_eq!(with_attempts(0).unwrap().step_attempts(), 1);
     }
 
     #[test]

@@ -66,9 +66,12 @@ replays_identically "dataflow bench diverged between two runs" -p kaas-bench --b
 
 echo "==> cluster stage: sharded-dispatch tests + bench determinism"
 cargo test -q --release --test dispatch_shard
-# The dispatch A/B bench (serialized knee vs sharded+batched) must
-# replay byte-identically run to run.
+# The dispatch A/B bench (the one-shard serialized baseline's knee vs
+# sharded+batched) must replay byte-identically run to run.
 replays_identically "cluster bench diverged between two runs" -p kaas-bench --bin cluster -- --quick
+# The `--dispatch=serialized` flag keeps selecting the one-shard
+# baseline configuration.
+replays_identically "fig12 serialized baseline diverged between two runs" -p kaas-bench --bin fig12 -- --quick --dispatch=serialized
 
 echo "==> overload stage: overload-control tests + bench determinism"
 cargo test -q --release --test overload

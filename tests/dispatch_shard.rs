@@ -1,10 +1,10 @@
 //! Integration: the sharded dispatch engine and wire batching.
 //!
-//! Covers the PR-6 refactor guarantees: per-shard queue accounting in
+//! Covers the engine's guarantees: per-shard queue accounting in
 //! [`ServerSnapshot`] stays consistent even mid-storm, same-seed runs
 //! replay byte-identically, batch members succeed and fail
-//! individually, and the serialized A/B baseline still works end to
-//! end.
+//! individually, and the serialized baseline — the one-shard
+//! configuration — still works end to end.
 
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
@@ -15,11 +15,12 @@ use kaas::accel::{CpuDevice, CpuProfile, Device, DeviceId, GpuDevice, GpuProfile
 use kaas::core::{
     BatchCall, BreakerConfig, DispatchMode, EvictionConfig, ExponentialBackoff, FallbackConfig,
     FaultInjector, FaultPlan, InvokeError, KaasClient, KaasNetwork, KaasServer, KernelRegistry,
-    RetryConfig, ServerConfig, ShardConfig, ShardPolicy, StormConfig,
+    RetryConfig, ServerConfig, ShardConfig, StormConfig,
 };
 use kaas::kernels::{MonteCarlo, Value};
 use kaas::net::{LinkProfile, SharedMemory};
 use kaas::simtime::{sleep, spawn, Simulation, SpanSink};
+use kaas_bench::common::serialized_baseline;
 
 const SEED: u64 = 2026;
 
@@ -46,13 +47,11 @@ async fn connect(net: &KaasNetwork) -> KaasClient {
         .unwrap()
 }
 
-fn resilient_sharded_config(seed: u64, policy: ShardPolicy, tracer: SpanSink) -> ServerConfig {
+fn resilient_sharded_config(seed: u64, tracer: SpanSink) -> ServerConfig {
     ServerConfig::default()
         .with_tracer(tracer)
         .with_dispatch(DispatchMode::Sharded(ShardConfig {
             shards: 3,
-            policy,
-            seed,
             ..ShardConfig::default()
         }))
         .with_retry(
@@ -80,11 +79,7 @@ fn resilient_sharded_config(seed: u64, policy: ShardPolicy, tracer: SpanSink) ->
 fn shard_depths_sum_to_queued_under_a_fault_storm() {
     let mut sim = Simulation::new();
     let (violations, max_queued) = sim.block_on(async {
-        let (server, net) = boot(resilient_sharded_config(
-            SEED,
-            ShardPolicy::LeastLoaded,
-            SpanSink::new(),
-        ));
+        let (server, net) = boot(resilient_sharded_config(SEED, SpanSink::new()));
 
         let mut clients = Vec::new();
         for _ in 0..6 {
@@ -179,11 +174,11 @@ struct RunDigest {
     trace: String,
 }
 
-fn run_sharded_chaos(seed: u64, policy: ShardPolicy) -> RunDigest {
+fn run_sharded_chaos(seed: u64) -> RunDigest {
     let mut sim = Simulation::new();
     sim.block_on(async move {
         let tracer = SpanSink::new();
-        let (server, net) = boot(resilient_sharded_config(seed, policy, tracer.clone()));
+        let (server, net) = boot(resilient_sharded_config(seed, tracer.clone()));
         let mut clients = Vec::new();
         for _ in 0..4 {
             clients.push(connect(&net).await);
@@ -241,25 +236,17 @@ fn run_sharded_chaos(seed: u64, policy: ShardPolicy) -> RunDigest {
     })
 }
 
-/// Sharded dispatch replays byte-identically from the same seed, for
-/// every shard policy — including [`ShardPolicy::LeastLoaded`], whose
-/// tie-breaks come from the seeded RNG stream.
+/// Sharded dispatch replays byte-identically from the same seed.
 #[test]
 fn sharded_chaos_replays_byte_identically() {
-    for policy in [
-        ShardPolicy::RoundRobin,
-        ShardPolicy::KernelAffinity,
-        ShardPolicy::LeastLoaded,
-    ] {
-        let a = run_sharded_chaos(SEED, policy);
-        let b = run_sharded_chaos(SEED, policy);
-        assert_eq!(
-            a.trace, b.trace,
-            "{policy:?}: same seed must produce a byte-identical trace"
-        );
-        assert_eq!(a, b, "{policy:?}: same seed must replay identically");
-        assert!(a.ok > 0, "{policy:?}: a healthy majority should succeed");
-    }
+    let a = run_sharded_chaos(SEED);
+    let b = run_sharded_chaos(SEED);
+    assert_eq!(
+        a.trace, b.trace,
+        "same seed must produce a byte-identical trace"
+    );
+    assert_eq!(a, b, "same seed must replay identically");
+    assert!(a.ok > 0, "a healthy majority should succeed");
 }
 
 /// Batch members resolve individually and in order: good members
@@ -334,13 +321,14 @@ fn batch_timeout_fails_every_member() {
     });
 }
 
-/// The serialized A/B baseline still serves calls and batches end to
-/// end, and reports no shard state in its snapshot.
+/// The serialized baseline — one shard behind a zero-cost front door —
+/// still serves calls and batches end to end, and its snapshot reports
+/// its one drained shard.
 #[test]
 fn serialized_baseline_still_works_end_to_end() {
     let mut sim = Simulation::new();
     sim.block_on(async {
-        let (server, net) = boot(ServerConfig::default().with_dispatch(DispatchMode::Serialized));
+        let (server, net) = boot(ServerConfig::default().with_dispatch(serialized_baseline()));
         let mut client = connect(&net).await;
 
         let single = client.call("mci").arg(Value::U64(10_000)).send().await;
@@ -355,9 +343,10 @@ fn serialized_baseline_still_works_end_to_end() {
         assert!(batch.iter().all(|r| r.is_ok()));
 
         let snap = server.snapshot();
-        assert!(
-            snap.shard_depths.is_empty(),
-            "the serialized engine has no shards: {snap:?}"
+        assert_eq!(
+            snap.shard_depths,
+            vec![0],
+            "the baseline has one drained shard: {snap:?}"
         );
         assert_eq!(snap.dispatch_queued, 0);
     });
