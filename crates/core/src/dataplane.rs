@@ -40,7 +40,7 @@ use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use kaas_accel::{Device, DeviceId, MemoryManager, OomError};
-use kaas_kernels::Value;
+use kaas_kernels::{Value, WordHasher};
 
 /// Prefix of the reserved data-plane control kernels.
 pub const DATA_KERNEL_PREFIX: &str = "_kaas/data/";
@@ -58,14 +58,15 @@ pub const OBJECT_REF_WIRE_BYTES: u64 = 24;
 
 const REF_TAG: &str = "kaas.ref";
 
-/// A content address into the server's object store: the FNV-1a hash of
-/// the object's canonical encoding plus its logical length. Obtained
-/// from [`KaasClient::put`](crate::KaasClient::put); passed to
-/// invocations with
+/// A content address into the server's object store: the
+/// [`content_hash`] of the object's canonical encoding plus its logical
+/// length. Obtained from [`KaasClient::put`](crate::KaasClient::put);
+/// passed to invocations with
 /// [`InvokeBuilder::arg_ref`](crate::InvokeBuilder::arg_ref).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ObjectRef {
-    /// Content hash (FNV-1a over the canonical [`Value`] encoding).
+    /// Content hash ([`content_hash`] of the canonical [`Value`]
+    /// encoding).
     pub hash: u64,
     /// Logical payload size in bytes (the object's wire size).
     pub bytes: u64,
@@ -106,68 +107,47 @@ impl ObjectRef {
     }
 }
 
-/// FNV-1a over a canonical byte encoding of `value` — the content
-/// address of the data plane. Deterministic across runs (no hasher
-/// randomization) so identical simulations produce identical refs.
+/// The content address of `value`: a [`WordHasher`] over its canonical
+/// encoding. Every variant writes a type tag word, then its shape and
+/// the length of each variable-length field, then the payload: floats
+/// as their bit patterns, bytes as little-endian words. The framing
+/// makes the encoding injective, so distinct values (including
+/// malformed ones whose data overruns their dimensions) only meet by a
+/// hash collision. Deterministic across runs (no hasher randomization)
+/// so identical simulations produce identical refs.
 pub fn content_hash(value: &Value) -> u64 {
-    let mut h = Fnv::new();
+    let mut h = WordHasher::new();
     hash_value(value, &mut h);
     h.finish()
 }
 
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
-    fn write_u64(&mut self, n: u64) {
-        self.write(&n.to_le_bytes());
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-fn hash_value(value: &Value, h: &mut Fnv) {
+fn hash_value(value: &Value, h: &mut WordHasher) {
     match value {
-        Value::Unit => h.write(&[0]),
+        Value::Unit => h.write_u64(0),
         Value::U64(n) => {
-            h.write(&[1]);
+            h.write_u64(1);
             h.write_u64(*n);
         }
         Value::F64(x) => {
-            h.write(&[2]);
+            h.write_u64(2);
             h.write_u64(x.to_bits());
         }
         Value::F64s(v) => {
-            h.write(&[3]);
+            h.write_u64(3);
             h.write_u64(v.len() as u64);
-            for x in v {
-                h.write_u64(x.to_bits());
-            }
+            h.write_f64s(v);
         }
         Value::Bytes(b) => {
-            h.write(&[4]);
+            h.write_u64(4);
             h.write_u64(b.len() as u64);
-            h.write(b);
+            h.write_bytes(b);
         }
         Value::Matrix { data, rows, cols } => {
-            h.write(&[5]);
+            h.write_u64(5);
             h.write_u64(*rows as u64);
             h.write_u64(*cols as u64);
-            for x in data {
-                h.write_u64(x.to_bits());
-            }
+            h.write_u64(data.len() as u64);
+            h.write_f64s(data);
         }
         Value::Image {
             pixels,
@@ -175,19 +155,20 @@ fn hash_value(value: &Value, h: &mut Fnv) {
             height,
             channels,
         } => {
-            h.write(&[6]);
+            h.write_u64(6);
             h.write_u64(*width as u64);
             h.write_u64(*height as u64);
             h.write_u64(*channels as u64);
-            h.write(pixels);
+            h.write_u64(pixels.len() as u64);
+            h.write_bytes(pixels);
         }
         Value::Text(s) => {
-            h.write(&[7]);
+            h.write_u64(7);
             h.write_u64(s.len() as u64);
-            h.write(s.as_bytes());
+            h.write_bytes(s.as_bytes());
         }
         Value::List(items) => {
-            h.write(&[8]);
+            h.write_u64(8);
             h.write_u64(items.len() as u64);
             for item in items {
                 hash_value(item, h);
@@ -197,7 +178,7 @@ fn hash_value(value: &Value, h: &mut Fnv) {
             // The declared size is part of the content: two envelopes
             // with the same body but different logical sizes are
             // different objects (they cost differently to copy).
-            h.write(&[9]);
+            h.write_u64(9);
             h.write_u64(*bytes);
             hash_value(body, h);
         }
@@ -263,6 +244,15 @@ impl ObjectStore {
             .get(&r.hash)
             .filter(|s| s.bytes == r.bytes)
             .map(|s| s.value.clone())
+    }
+
+    /// Whether [`get`](ObjectStore::get) would find `r`, without
+    /// copying the object: a mismatched length is still a miss.
+    pub fn contains(&self, r: &ObjectRef) -> bool {
+        self.objects
+            .borrow()
+            .get(&r.hash)
+            .is_some_and(|s| s.bytes == r.bytes)
     }
 
     /// Marks the object immutable, making it eligible for device-side
@@ -574,6 +564,8 @@ mod tests {
             bytes: r.bytes + 1,
         };
         assert!(store.get(&forged).is_none());
+        assert!(store.contains(&r));
+        assert!(!store.contains(&forged), "a forged length is a miss");
     }
 
     #[test]

@@ -296,10 +296,10 @@ impl KaasServer {
         // steps consume it exactly like any chained intermediate. A
         // trigger that is already a content address (the client `put`
         // the input earlier, or a previous segment produced it) is used
-        // directly after a resolve check.
+        // directly after an existence check.
         let staged = match ObjectRef::from_value(&input) {
             Some(r) => {
-                if dp.resolve(&r).is_none() {
+                if !dp.store().contains(&r) {
                     flows.active.set(flows.active.get() - 1);
                     m.set_gauge("workflow.active", flows.active.get() as f64);
                     if let Some(root) = root {

@@ -3,7 +3,7 @@
 //! [`Value`] wire encoding used by `_kaas/code/register`.
 
 use kaas_accel::DeviceClass;
-use kaas_kernels::Value;
+use kaas_kernels::{Value, WordHasher};
 
 /// Wire tag identifying an encoded [`GuestProgram`] (first element of the
 /// tagged list produced by [`GuestProgram::to_value`]).
@@ -305,25 +305,31 @@ impl GuestProgram {
         Ok(())
     }
 
-    /// Content hash (FNV-1a over the canonical encoding); snapshot images
-    /// embed it so a restore against the wrong program is rejected.
+    /// Content hash (a [`WordHasher`] over the canonical encoding, text
+    /// length-framed); snapshot images embed it so a restore against
+    /// the wrong program is rejected.
     pub fn hash(&self) -> u64 {
-        let mut h = Fnv::new();
-        h.update(self.name.as_bytes());
-        h.update(self.device_class.to_string().as_bytes());
-        h.update(&self.fuel_limit.to_le_bytes());
-        h.update(&self.base_flops.to_bits().to_le_bytes());
-        h.update(&self.flops_per_byte.to_bits().to_le_bytes());
-        h.update(&self.bytes_out_hint.to_le_bytes());
-        h.update(&[self.globals, self.snapshot as u8]);
+        let mut h = WordHasher::new();
+        let text = |h: &mut WordHasher, t: &str| {
+            h.write_u64(t.len() as u64);
+            h.write_bytes(t.as_bytes());
+        };
+        text(&mut h, &self.name);
+        text(&mut h, &self.device_class.to_string());
+        h.write_u64(self.fuel_limit);
+        h.write_u64(self.base_flops.to_bits());
+        h.write_u64(self.flops_per_byte.to_bits());
+        h.write_u64(self.bytes_out_hint);
+        h.write_u64(u64::from(self.globals));
+        h.write_u64(u64::from(self.snapshot));
         for seq in [&self.init, &self.body] {
-            h.update(&(seq.len() as u64).to_le_bytes());
+            h.write_u64(seq.len() as u64);
             for op in seq {
                 for v in encode_op(op) {
                     match v {
-                        Value::Text(t) => h.update(t.as_bytes()),
-                        Value::U64(n) => h.update(&n.to_le_bytes()),
-                        Value::F64(x) => h.update(&x.to_bits().to_le_bytes()),
+                        Value::Text(t) => text(&mut h, &t),
+                        Value::U64(n) => h.write_u64(n),
+                        Value::F64(x) => h.write_u64(x.to_bits()),
                         _ => {}
                     }
                 }
@@ -497,24 +503,6 @@ fn decode_op(parts: &[Value]) -> Result<Op, ProgramError> {
         "return" => Op::Return,
         other => return Err(bad(format!("unknown op {other:?}"))),
     })
-}
-
-/// Incremental FNV-1a (64-bit).
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-    fn update(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    fn finish(&self) -> u64 {
-        self.0
-    }
 }
 
 #[cfg(test)]

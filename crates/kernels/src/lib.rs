@@ -35,6 +35,7 @@ mod dtw;
 mod fpga;
 mod ga;
 mod gnn;
+mod hash;
 mod image;
 mod kernel;
 mod matmul;
@@ -51,6 +52,7 @@ pub use fpga::{
 };
 pub use ga::{evolve_generation, mean_fitness, rastrigin, GaGeneration, GENERATIONS, GENES};
 pub use gnn::{GcnModel, GnnTraining, Graph};
+pub use hash::WordHasher;
 pub use image::{box_resize, Preprocess, TARGET};
 pub use kernel::{Kernel, KernelError, Warmup};
 pub use matmul::{matmul, MatMul};

@@ -58,6 +58,9 @@ echo "==> dataplane stage: cache/eviction tests + bench determinism"
 cargo test -q --release --test dataplane
 # The data-plane bench must replay byte-identically run to run.
 replays_identically "dataplane bench diverged between two runs" -p kaas-bench --bin dataplane -- --quick
+# The example prints content addresses (`obj:{hash}/{bytes}B`), so a
+# second run checks that the content hash is deterministic.
+replays_identically "dataplane example diverged between two runs" --example dataplane
 
 echo "==> dataflow stage: workflow DAG tests + bench determinism"
 cargo test -q --release --test workflow_dataflow

@@ -1,8 +1,9 @@
 //! Integration: the device-resident data plane. Content-addressed
 //! put/get/seal/pin, cache hits that eliminate the host→device copy,
 //! LRU eviction under memory pressure with pin protection, typed
-//! [`InvokeError::DeviceOom`], cache-aware scheduling, and seeded
-//! property-style invariants on the per-device memory manager.
+//! [`InvokeError::DeviceOom`], cache-aware scheduling, seeded
+//! property-style invariants on the per-device memory manager, and the
+//! quality of the content hash behind every ref.
 
 use std::collections::BTreeSet;
 use std::rc::Rc;
@@ -10,8 +11,8 @@ use std::time::Duration;
 
 use kaas::accel::{Device, DeviceId, GpuDevice, GpuProfile, MemoryManager};
 use kaas::core::{
-    InvokeError, KaasClient, KaasNetwork, KaasServer, KernelRegistry, ObjectRef, ServerConfig,
-    Span, SpanSink, WarmFirst,
+    content_hash, InvokeError, KaasClient, KaasNetwork, KaasServer, KernelRegistry, ObjectRef,
+    ObjectStore, ServerConfig, Span, SpanSink, WarmFirst,
 };
 use kaas::kernels::{Kernel, MatMul, Value};
 use kaas::net::{LinkProfile, SharedMemory};
@@ -451,4 +452,179 @@ fn dataplane_runs_replay_byte_identically() {
     assert!(a.contains("cache_lookup"));
     assert!(a.contains("evict"));
     assert_eq!(a, b, "the data plane must replay deterministically");
+}
+
+/// Asserts that every value in `values` has a distinct content hash.
+fn assert_distinct_hashes(what: &str, values: &[Value]) {
+    let mut seen = BTreeSet::new();
+    for v in values {
+        assert!(seen.insert(content_hash(v)), "{what}: {v:?} collides");
+    }
+}
+
+fn nine_floats() -> Vec<f64> {
+    vec![1.5, -2.25, 3.0, 0.0, -0.0, 1e-300, f64::MAX, 7.0, -8.5]
+}
+
+#[test]
+fn paired_sign_flips_hash_apart_and_do_not_dedup() {
+    let store = ObjectStore::new();
+    for (x, y) in [(1.0, 2.0), (0.5, -3.25), (1e300, 1e-300), (0.0, 0.0)] {
+        let a = Value::F64s(vec![x, y]);
+        let b = Value::F64s(vec![-x, -y]);
+        assert_ne!(content_hash(&a), content_hash(&b), "[{x}, {y}]");
+        assert_ne!(store.put(a), store.put(b));
+    }
+    assert_eq!(store.len(), 8, "no sign-flipped pair deduplicated");
+    // The same on the lane path.
+    let long = nine_floats();
+    let negated: Vec<f64> = long.iter().map(|x| -x).collect();
+    assert_distinct_hashes("negated", &[Value::F64s(long), Value::F64s(negated)]);
+}
+
+#[test]
+fn every_single_bit_flip_changes_the_hash() {
+    let base = nine_floats();
+    let mut values = vec![Value::F64s(base.clone())];
+    for i in 0..base.len() {
+        for bit in 0..64 {
+            let mut v = base.clone();
+            v[i] = f64::from_bits(v[i].to_bits() ^ (1 << bit));
+            values.push(Value::F64s(v));
+        }
+    }
+    assert_eq!(values.len(), 1 + 9 * 64);
+    assert_distinct_hashes("bit flip", &values);
+}
+
+#[test]
+fn swapping_two_elements_changes_the_hash() {
+    let base = nine_floats();
+    let mut values = vec![Value::F64s(base.clone())];
+    for i in 0..base.len() {
+        for j in i + 1..base.len() {
+            let mut v = base.clone();
+            v.swap(i, j);
+            values.push(Value::F64s(v));
+        }
+    }
+    assert_distinct_hashes("swap", &values);
+}
+
+#[test]
+fn byte_lengths_and_tails_are_content() {
+    assert_distinct_hashes(
+        "[1] vs [1, 0]",
+        &[Value::Bytes(vec![1]), Value::Bytes(vec![1, 0])],
+    );
+    // Tails around the word (8) and lane block (32) boundaries: a
+    // trailing zero, a changed last byte and the bare prefix all differ.
+    for n in [7usize, 8, 9, 31, 32, 33, 39, 40, 41] {
+        let b: Vec<u8> = (1..=n as u8).collect();
+        let mut zero_padded = b.clone();
+        zero_padded.push(0);
+        let mut last_changed = b.clone();
+        last_changed[n - 1] ^= 0x80;
+        assert_distinct_hashes(
+            &format!("{n}-byte tail"),
+            &[
+                Value::Bytes(b[..n - 1].to_vec()),
+                Value::Bytes(b),
+                Value::Bytes(zero_padded),
+                Value::Bytes(last_changed),
+            ],
+        );
+    }
+}
+
+#[test]
+fn type_tags_and_nesting_are_content() {
+    let (a, b) = (4.0, 5.0);
+    assert_distinct_hashes(
+        "text vs bytes",
+        &[
+            Value::Text("kaas".to_owned()),
+            Value::Bytes(b"kaas".to_vec()),
+        ],
+    );
+    assert_distinct_hashes(
+        "[[a], [b]] vs [[a, b]]",
+        &[
+            Value::List(vec![Value::F64s(vec![a]), Value::F64s(vec![b])]),
+            Value::List(vec![Value::F64s(vec![a, b])]),
+            Value::List(vec![
+                Value::List(vec![Value::F64(a)]),
+                Value::List(vec![Value::F64(b)]),
+            ]),
+            Value::List(vec![Value::List(vec![Value::F64(a), Value::F64(b)])]),
+        ],
+    );
+    let data = vec![1.0, 2.0, 3.0, 4.0];
+    assert_distinct_hashes(
+        "matrix shapes",
+        &[
+            Value::matrix(data.clone(), 1, 4),
+            Value::matrix(data.clone(), 2, 2),
+            Value::matrix(data.clone(), 4, 1),
+            Value::F64s(data),
+        ],
+    );
+    assert_distinct_hashes(
+        "sized envelopes",
+        &[
+            Value::U64(1),
+            Value::sized(10, Value::U64(1)),
+            Value::sized(20, Value::U64(1)),
+            Value::sized(10, Value::U64(2)),
+            Value::sized(10, Value::sized(10, Value::U64(1))),
+        ],
+    );
+}
+
+#[test]
+fn data_overrunning_its_dimensions_cannot_absorb_a_sibling() {
+    // Without a length word, the overrun's extra words would read as the
+    // `List[1]` header the honest value carries after its data: the
+    // tag 8 and the count 1.
+    let matrix = |data: Vec<f64>| Value::Matrix {
+        data,
+        rows: 1,
+        cols: 1,
+    };
+    let honest = Value::List(vec![matrix(vec![2.5]), Value::List(vec![Value::U64(7)])]);
+    let overrun = Value::List(vec![
+        matrix(vec![2.5, f64::from_bits(8), f64::from_bits(1)]),
+        Value::U64(7),
+    ]);
+    assert_distinct_hashes("matrix overrun", &[honest, overrun]);
+
+    // The same for an image, whose pixel bytes pad to words.
+    let image = |pixels: Vec<u8>| Value::Image {
+        pixels,
+        width: 1,
+        height: 1,
+        channels: 1,
+    };
+    let mut overrun_pixels = vec![0u8; 24];
+    overrun_pixels[0] = 9;
+    overrun_pixels[8] = 8;
+    overrun_pixels[16] = 1;
+    let honest = Value::List(vec![image(vec![9]), Value::List(vec![Value::U64(7)])]);
+    let overrun = Value::List(vec![image(overrun_pixels), Value::U64(7)]);
+    assert_distinct_hashes("image overrun", &[honest, overrun]);
+}
+
+#[test]
+fn golden_hashes_pin_the_encoding() {
+    // Any change to the canonical encoding or the mix changes these;
+    // every printed ref changes with them, so update them deliberately.
+    assert_eq!(content_hash(&Value::U64(1)), 0x6bb6_fca5_9844_2e6a);
+    assert_eq!(
+        content_hash(&Value::F64s(nine_floats())),
+        0x792a_f926_5d82_23d3
+    );
+    assert_eq!(
+        content_hash(&Value::Bytes(b"kernel-as-a-service".to_vec())),
+        0x26f3_fcf5_2ed6_8647
+    );
 }

@@ -8,8 +8,8 @@ use std::time::Duration;
 
 use kaas::accel::{Device, DeviceId, GpuDevice, GpuProfile};
 use kaas::core::{
-    InvokeError, KaasClient, KaasNetwork, KaasServer, KernelRegistry, RetryConfig, ServerConfig,
-    SpanSink, Workflow,
+    InvokeError, KaasClient, KaasNetwork, KaasServer, KernelRegistry, ObjectRef, RetryConfig,
+    ServerConfig, SpanSink, Workflow,
 };
 use kaas::kernels::{GaGeneration, Kernel, SoftDtw, Value};
 use kaas::net::{LinkProfile, SharedMemory};
@@ -333,4 +333,26 @@ fn same_seed_replay_is_byte_identical() {
         })
     };
     assert_eq!(episode(), episode(), "same seed, same bytes");
+}
+
+#[test]
+fn trigger_ref_with_a_forged_length_is_a_bad_handle() {
+    let mut sim = Simulation::new();
+    sim.block_on(async {
+        let (_server, net, shm) = boot_with(ga_dtw(), ServerConfig::default());
+        let mut c = KaasClient::connect(&net, "kaas", LinkProfile::loopback())
+            .await
+            .unwrap()
+            .with_shared_memory(shm);
+        let wf = Workflow::linear("one", ["ga"]).unwrap();
+        let handle = c.register_workflow(&wf).await.unwrap();
+        let input = c.put(Value::U64(8)).await.unwrap();
+        let forged = ObjectRef {
+            bytes: input.bytes + 1,
+            ..input
+        };
+        let err = c.flow(&handle).input_ref(forged).send().await.unwrap_err();
+        assert_eq!(err.error, InvokeError::BadHandle);
+        c.flow(&handle).input_ref(input).send().await.unwrap();
+    });
 }
